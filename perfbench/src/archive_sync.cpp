@@ -4,8 +4,6 @@
 // window, and the consumer drains every record and elem. Decode, merge
 // and elem extraction do all the work on one thread; the runtime layer
 // does none, so scheduler and pool changes must not move this workload.
-#include <optional>
-
 #include "core/stream.hpp"
 #include "workloads.hpp"
 
@@ -26,11 +24,11 @@ struct Pass {
   StreamRef out;
 };
 
-// One bgpreader pass. With `setup_only` it returns as soon as the first
-// record is in the consumer's hands.
+// One bgpreader pass. With `setup_only` it stops once the first record
+// is in the consumer's hands.
 Pass RunPass(const Archive& a, bool setup_only) {
   Pass p;
-  ResetPeakRss();
+  if (!setup_only) ResetPeakRss();  // a set-up-only pass keeps the warm heap
   const double t0 = Now();
   broker::Broker broker(a.root);
   core::BrokerDataInterface broker_di(&broker);
@@ -42,33 +40,19 @@ Pass RunPass(const Archive& a, bool setup_only) {
   stream.SetDataInterface(&di);
   if (!stream.Start().ok()) return p;
   RecordLatency latency(t0);
-  Digest digest;
-  std::vector<core::Elem> elems;
-  for (;;) {
-    latency.Ask(p.out.records);
-    std::optional<core::Record> rec;
-    {
-      trace::Span span("stream.next_record");
-      rec = stream.NextRecord();
-    }
-    if (!rec) break;
-    latency.Got(p.out.records++);
-    if (setup_only) break;
-    digest.AddRecord(*rec);
-    {
-      trace::Span span("stream.elems");
-      elems = stream.Elems(*rec);
-    }
-    p.out.elems += elems.size();
-    for (const auto& e : elems) digest.AddElem(e);
-  }
+  p.out = Drain(
+      stream, "stream.next_record", "stream.elems", false,
+      [&](uint64_t n) {
+        latency.Ask(n);
+        return !setup_only || n == 0;
+      },
+      [&](uint64_t n) { latency.Got(n); });
   p.wall_s = Now() - t0;
   p.setup_s = latency.first_s();
   p.p50_ms = latency.p50_ms();
   p.p99_ms = latency.p99_ms();
   p.rss_mb = PeakRssMiB();
   p.max_open_files = stream.max_open_files();
-  p.out.digest = digest.value();
   p.ok = stream.status().ok();
   return p;
 }
@@ -78,58 +62,33 @@ Pass RunPass(const Archive& a, bool setup_only) {
 Outcome RunArchiveSync(const Config& config, const Inputs& in) {
   Outcome o;
   const StreamRef& ref = in.archive_ref;
-  std::vector<double> setup, rate, p50, p99, rss, traced_rate;
   double traced_wall = 0.0;
   size_t max_open = 0;
-  const double deadline = Now() + config.seconds;
-  for (int pass = 0;; ++pass) {
-    const bool traced = config.trace && pass % 2 == 1;
-    if (Now() >= deadline && int(rate.size()) >= kMinPasses &&
-        (!config.trace || int(traced_rate.size()) >= kMinPasses))
-      break;
-    trace::SetRun(uint32_t(pass));
-    trace::SetEnabled(traced);
-    Pass p = RunPass(in.archive, false);
-    trace::SetEnabled(false);
-    o.Check(p.ok && p.out.records == ref.records && p.out.elems == ref.elems &&
-                p.out.digest == ref.digest,
-            ref.records,
-            "archive-sync pass " + std::to_string(pass) + ": " +
-                std::to_string(p.out.records) + " records / digest " +
-                Hex(p.out.digest) + " vs sequential " +
-                std::to_string(ref.records) + " / " + Hex(ref.digest));
-    const double r = double(p.out.records) / p.wall_s;
-    if (traced) {
-      traced_rate.push_back(r);
-      traced_wall += p.wall_s;
-      max_open = std::max(max_open, p.max_open_files);
-    } else {
-      // Set-ups are spread over the run so their median samples the
-      // whole window, not the host's state at one moment.
-      for (int i = 0; i < kSetupRepsPerPass; ++i)
-        setup.push_back(RunPass(in.archive, true).setup_s);
-      rate.push_back(r);
-      setup.push_back(p.setup_s);
-      p50.push_back(p.p50_ms);
-      p99.push_back(p.p99_ms);
-      rss.push_back(p.rss_mb);
-    }
-  }
-  o.notes.push_back("archive-sync: " + std::to_string(rate.size() + traced_rate.size()) +
-                    " passes of " + std::to_string(ref.records) + " records / " +
-                    std::to_string(ref.elems) + " elems from " +
+  const Rates rates = RunPasses(
+      config, o,
+      [&](int n, bool traced) {
+        const Pass p = RunPass(in.archive, false);
+        o.Check(p.ok && p.out.records == ref.records && p.out.elems == ref.elems &&
+                    p.out.digest == ref.digest,
+                ref.records,
+                "archive-sync pass " + std::to_string(n) + ": " +
+                    std::to_string(p.out.records) + " records / digest " +
+                    Hex(p.out.digest) + " vs sequential " +
+                    std::to_string(ref.records) + " / " + Hex(ref.digest));
+        if (traced) {
+          traced_wall += p.wall_s;
+          max_open = std::max(max_open, p.max_open_files);
+        }
+        return PassResult{double(p.out.records) / p.wall_s, p.p50_ms, p.p99_ms,
+                          p.rss_mb};
+      },
+      [&] { return RunPass(in.archive, true).setup_s; });
+  o.notes.push_back("archive-sync: per pass " + std::to_string(ref.records) +
+                    " records / " + std::to_string(ref.elems) + " elems from " +
                     std::to_string(in.archive.paths.size()) + " files");
-  if (!config.trace) {
-    o.values["records_per_s"] = Median(rate);
-    o.values["latency_p50_ms"] = Median(p50);
-    o.values["latency_p99_ms"] = Median(p99);
-    o.values["setup_s"] = Median(setup);
-    o.values["peak_rss_mb"] = Median(rss);
-    return o;
-  }
-  const double passes = double(traced_rate.size());
+  if (!config.trace) return o;
   auto& v = o.values;
-  AddSpanMetrics(passes, v);
+  AddSpanMetrics(double(rates.traced_passes), v);
   RunLayerPasses(in.archive, v);
   v["stream.max_open_files"] = double(max_open);
   v["stream.merge_self_s"] =
@@ -137,14 +96,13 @@ Outcome RunArchiveSync(const Config& config, const Inputs& in) {
   // The consumer thread is the whole critical path: its top-level spans
   // (NextRecord, which nests NextBatch and the file opens, and Elems)
   // against the pass wall. The rest is the benchmark's own digest.
-  const auto spans = trace::Collect();
-  auto total = [&](const char* name) {
-    auto it = spans.find(name);
-    return it == spans.end() ? 0.0 : it->second.total_s;
-  };
   v["attribution_gap"] =
-      1.0 - (total("stream.next_record") + total("stream.elems")) / traced_wall;
-  FinishTrace(config, Median(rate), Median(traced_rate),
+      1.0 - (trace::Total("stream.next_record") + trace::Total("stream.elems")) /
+                traced_wall;
+  o.notes.push_back(
+      "archive-sync: the runtime layer, RT, fan-out, live and generator "
+      "metrics are 0: those layers do not run here");
+  FinishTrace(config, rates,
               double(ref.records) / double(in.archive.end - in.archive.start), o);
   return o;
 }

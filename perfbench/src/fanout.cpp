@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <optional>
 #include <thread>
 
 #include "core/stream.hpp"
@@ -34,9 +33,13 @@ namespace {
 
 // Share of the archive published before the subscribers attach.
 constexpr double kAttachAfter = 0.5;
+constexpr size_t kBatchRecords = 64;
+static_assert(kHeadRecords >= kBatchRecords,
+              "a set-up must reach the first flush within the head copies");
 
 struct SubscriberRun {
   bool ok = false;
+  double first_s = 0.0;  // attached, from the pass start
   double last_s = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
@@ -55,34 +58,49 @@ void Subscribe(mq::Cluster* cluster, bool filtered, double t0,
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     };
   }
+  run->first_s = Now() - t0;
   pool::RecordSubscriber sub(std::move(options));
   if (!sub.Start().ok()) return;
   RecordLatency latency(t0);
-  Digest digest;
-  std::vector<core::Elem> elems;
-  for (;;) {
-    latency.Ask(run->out.records);
-    std::optional<core::Record> rec;
-    {
-      trace::Span span("subscriber.next_record");
-      rec = sub.NextRecord();
-    }
-    if (!rec) break;
-    latency.Got(run->out.records++);
-    digest.AddRecord(*rec);
-    {
-      trace::Span span("subscriber.elems");
-      elems = sub.Elems(*rec);
-    }
-    run->out.elems += elems.size();
-    for (const auto& e : elems) digest.AddElem(e);
-  }
+  run->out = Drain(
+      sub, "subscriber.next_record", "subscriber.elems", false,
+      [&](uint64_t n) {
+        latency.Ask(n);
+        return true;
+      },
+      [&](uint64_t n) { latency.Got(n); });
   run->last_s = Now() - t0;
   run->p50_ms = latency.p50_ms();
   run->p99_ms = latency.p99_ms();
-  run->out.digest = digest.value();
   run->ok = sub.status().ok();
 }
+
+// Serves the window's first batch with every file moved to its head
+// copy, then ends the stream: a set-up-only publisher emits the same
+// records up to its first flush (at most kBatchRecords from any file)
+// and then stops within a few thousand records instead of draining the
+// whole batch. The library has no way to stop a publisher part way.
+class HeadsDataInterface : public core::DataInterface {
+ public:
+  HeadsDataInterface(core::DataInterface* inner, const Archive& a)
+      : inner_(inner), archive_(a) {}
+  core::DataBatch NextBatch(const core::FilterSet& filters) override {
+    core::DataBatch batch;
+    if (served_) {
+      batch.end_of_stream = true;
+      return batch;
+    }
+    served_ = true;
+    batch = inner_->NextBatch(filters);
+    for (auto& f : batch.files) f.path = HeadPath(archive_, f.path);
+    return batch;
+  }
+
+ private:
+  core::DataInterface* inner_;
+  const Archive& archive_;
+  bool served_ = false;
+};
 
 struct Pass {
   bool ok = false;
@@ -109,28 +127,32 @@ uint64_t PublishedThrough(const mq::Cluster& cluster) {
 }
 
 // One bgpfanout pass: publisher and both subscribers run to the end.
-// A traced pass also samples the pool and, when `codec` is given, runs
-// the codec pass over the published log before it is torn down.
-Pass RunPass(const Archive& a, uint64_t records,
-             std::map<std::string, double>* codec, Outcome* outcome) {
+// A traced pass also samples the pool into `layer` and runs the codec
+// pass over the published log before it is torn down. With
+// `setup_only` the publisher reads the head copies and no subscriber
+// attaches: the pass ends once set-up is timed and the heads drained.
+Pass RunPass(const Archive& a, uint64_t records, bool setup_only,
+             std::map<std::string, double>* layer, Outcome& outcome) {
   Pass p;
-  ResetPeakRss();
+  if (!setup_only) ResetPeakRss();  // a set-up-only pass keeps the warm heap
   const double t0 = Now();
   auto pool = StreamPool::Create({.threads = 1});
   if (!pool.ok()) return p;
   broker::Broker broker(a.root);
   core::BrokerDataInterface broker_di(&broker);
-  TimedDataInterface di(&broker_di);
+  TimedDataInterface timed_di(&broker_di);
+  HeadsDataInterface heads_di(&broker_di, a);
   core::BgpStream::Options options;
   options.file_open_hook = FileOpenSpan;
   StreamPool::TenantOptions tenant;
   tenant.name = "publisher";
   auto stream = (*pool)->CreateStream(std::move(options), std::move(tenant));
   stream->SetInterval(a.start, a.end);
-  stream->SetDataInterface(&di);
+  stream->SetDataInterface(setup_only ? static_cast<core::DataInterface*>(&heads_di)
+                                      : &timed_di);
   if (!stream->Start().ok()) return p;
   std::optional<PoolSampler> sampler;
-  if (trace::Enabled()) sampler.emplace(pool->get());
+  if (layer != nullptr) sampler.emplace(pool->get());
   mq::Cluster cluster;
   bool published = false;
   std::atomic<bool> publisher_done{false};
@@ -138,7 +160,7 @@ Pass RunPass(const Archive& a, uint64_t records,
     trace::Span span("publisher.run");
     pool::RecordPublisher::Options publisher_options;
     publisher_options.cluster = &cluster;
-    publisher_options.batch_records = 64;
+    publisher_options.batch_records = kBatchRecords;
     pool::RecordPublisher pub(publisher_options);
     published = pub.Run(*stream).ok();
     publisher_done.store(true);
@@ -151,6 +173,11 @@ Pass RunPass(const Archive& a, uint64_t records,
          !publisher_done.load())
     std::this_thread::sleep_for(std::chrono::microseconds(20));
   p.setup_s = Now() - t0;
+  if (setup_only) {
+    publisher.join();
+    p.ok = published && published_through > 0;
+    return p;
+  }
   while (published_through < attach_at && !publisher_done.load()) {
     std::this_thread::sleep_for(std::chrono::microseconds(200));
     published_through = PublishedThrough(cluster);
@@ -170,8 +197,8 @@ Pass RunPass(const Archive& a, uint64_t records,
   p.max_open_files = stream->max_open_files();
   p.delivered = p.sub[0].out.records + p.sub[1].out.records;
   p.ok = published && p.sub[0].ok && p.sub[1].ok;
-  if (sampler) sampler->StopInto(*codec);
-  if (codec != nullptr) RunCodecPass(cluster, *codec, *outcome);
+  if (sampler) sampler->StopInto(*layer);
+  if (layer != nullptr) RunCodecPass(cluster, *layer, outcome);
   return p;
 }
 
@@ -180,58 +207,53 @@ Pass RunPass(const Archive& a, uint64_t records,
 Outcome RunFanout(const Config& config, const Inputs& in) {
   Outcome o;
   const StreamRef* refs[2] = {&in.archive_ref, &in.filtered_ref};
-  std::vector<double> setup, rate, p50, p99, rss, log_mb, traced_rate;
-  double traced_wall = 0.0;
+  const uint64_t records = in.archive_ref.records;
+  std::vector<double> rss;
+  double traced_attached = 0.0;  // subscriber-seconds of traced passes
   size_t max_open = 0;
   std::map<std::string, double> layer;  // traced-pass accumulators
-  const double deadline = Now() + config.seconds;
-  for (int pass = 0;; ++pass) {
-    const bool traced = config.trace && pass % 2 == 1;
-    if (Now() >= deadline && int(rate.size()) >= kMinPasses &&
-        (!config.trace || int(traced_rate.size()) >= kMinPasses))
-      break;
-    trace::SetRun(uint32_t(pass));
-    trace::SetEnabled(traced);
-    Pass p = RunPass(in.archive, in.archive_ref.records, traced ? &layer : nullptr, &o);
-    trace::SetEnabled(false);
-    for (int i = 0; i < 2; ++i) {
-      const StreamRef& ref = *refs[i];
-      const StreamRef& got = p.sub[i].out;
-      o.Check(p.ok && got.records == ref.records && got.elems == ref.elems &&
-                  got.digest == ref.digest,
-              ref.records,
-              std::string("fanout pass ") + std::to_string(pass) +
-                  (i == 0 ? " unfiltered" : " filtered") + " subscriber: " +
-                  std::to_string(got.records) + " records / " +
-                  std::to_string(got.elems) + " elems / digest " +
-                  Hex(got.digest) + " vs direct BgpStream " +
-                  std::to_string(ref.records) + " / " +
-                  std::to_string(ref.elems) + " / " + Hex(ref.digest));
-    }
-    const double r = double(p.delivered) / p.wall_s;
-    if (traced) {
-      traced_rate.push_back(r);
-      traced_wall += p.wall_s;
-      max_open = std::max(max_open, p.max_open_files);
-    } else {
-      rate.push_back(r);
-      setup.push_back(p.setup_s);
-      p50.push_back(p.p50_ms);
-      p99.push_back(p.p99_ms);
-      rss.push_back(p.rss_mb);
-      log_mb.push_back(p.log_mb);
-    }
-  }
-  o.notes.push_back("fanout: " + std::to_string(rate.size() + traced_rate.size()) +
-                    " passes; per pass 2 subscribers receive " +
-                    std::to_string(in.archive_ref.records) + " records each (" +
+  const Rates rates = RunPasses(
+      config, o,
+      [&](int n, bool traced) {
+        const Pass p = RunPass(in.archive, records, false,
+                               traced ? &layer : nullptr, o);
+        for (int i = 0; i < 2; ++i) {
+          const StreamRef& ref = *refs[i];
+          const StreamRef& got = p.sub[i].out;
+          o.Check(p.ok && got.records == ref.records && got.elems == ref.elems &&
+                      got.digest == ref.digest,
+                  ref.records,
+                  std::string("fanout pass ") + std::to_string(n) +
+                      (i == 0 ? " unfiltered" : " filtered") + " subscriber: " +
+                      std::to_string(got.records) + " records / " +
+                      std::to_string(got.elems) + " elems / digest " +
+                      Hex(got.digest) + " vs direct BgpStream " +
+                      std::to_string(ref.records) + " / " +
+                      std::to_string(ref.elems) + " / " + Hex(ref.digest));
+        }
+        if (traced) {
+          for (const auto& sub : p.sub) traced_attached += sub.last_s - sub.first_s;
+          max_open = std::max(max_open, p.max_open_files);
+        } else {
+          rss.push_back(p.rss_mb);
+        }
+        // The memory metric is the retained log, the fan-out tier's own
+        // footprint: process RSS follows how far the subscribers lag the
+        // publisher (their pending queues hold decoded records), which
+        // the host's timing decides.
+        return PassResult{double(p.delivered) / p.wall_s, p.p50_ms, p.p99_ms,
+                          p.log_mb};
+      },
+      [&] {
+        const Pass p = RunPass(in.archive, records, true, nullptr, o);
+        o.Check(p.ok, 1, "fanout set-up: no record reached the log");
+        return p.setup_s;
+      });
+  o.notes.push_back("fanout: per pass 2 subscribers receive " +
+                    std::to_string(records) + " records each (" +
                     std::to_string(in.archive_ref.elems) + " / " +
                     std::to_string(in.filtered_ref.elems) + " elems)");
   if (!config.trace) {
-    // Process RSS here follows how far the subscribers lag the publisher
-    // (their pending queues hold decoded records), which the host's
-    // timing decides: it is reported, but the memory metric is the
-    // retained log, the fan-out tier's own footprint.
     char buf[200];
     std::snprintf(buf, sizeof(buf),
                   "fanout: peak_rss_mb is the retained mq log (MiB); process "
@@ -239,15 +261,10 @@ Outcome RunFanout(const Config& config, const Inputs& in) {
                   Median(rss), *std::min_element(rss.begin(), rss.end()),
                   *std::max_element(rss.begin(), rss.end()));
     o.notes.push_back(buf);
-    o.values["records_per_s"] = Median(rate);
-    o.values["latency_p50_ms"] = Median(p50);
-    o.values["latency_p99_ms"] = Median(p99);
-    o.values["setup_s"] = Median(setup);
-    o.values["peak_rss_mb"] = Median(log_mb);
     return o;
   }
   auto& v = o.values;
-  const double passes = double(traced_rate.size());
+  const double passes = double(rates.traced_passes);
   AddSpanMetrics(passes, v);
   RunLayerPasses(in.archive, v);
   v["stream.max_open_files"] = double(max_open);
@@ -264,21 +281,17 @@ Outcome RunFanout(const Config& config, const Inputs& in) {
            " files per pass, the window has " +
            std::to_string(in.archive.paths.size()));
   // Each subscriber thread blocks its own result: their spans (poll
-  // waits nested in NextRecord) against the pass wall, averaged.
-  const auto spans = trace::Collect();
-  auto total = [&](const char* name) {
-    auto it = spans.find(name);
-    return it == spans.end() ? 0.0 : it->second.total_s;
-  };
+  // waits nested in NextRecord) against the time they were attached.
   v["attribution_gap"] =
-      1.0 - (total("subscriber.next_record") + total("subscriber.elems")) /
-                (2.0 * traced_wall);
+      1.0 - (trace::Total("subscriber.next_record") +
+             trace::Total("subscriber.elems")) /
+                traced_attached;
   o.notes.push_back(
-      "fanout: stream.next_record_s / stream.elems_s are not observable "
-      "(RecordPublisher::Run calls them internally)");
-  FinishTrace(config, Median(rate), Median(traced_rate),
-              2.0 * double(in.archive_ref.records) /
-                  double(in.archive.end - in.archive.start),
+      "fanout: stream.next_record_s, stream.elems_s, stream.merge_self_s and "
+      "stream.next_record_p99_us are 0: RecordPublisher::Run calls NextRecord "
+      "and Elems inside the library, where the benchmark cannot time them");
+  FinishTrace(config, rates,
+              2.0 * double(records) / double(in.archive.end - in.archive.start),
               o);
   return o;
 }

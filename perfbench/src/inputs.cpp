@@ -1,16 +1,19 @@
 #include "inputs.hpp"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 
+#include "bmp/bmp.hpp"
 #include "core/clock.hpp"
+#include "core/elem.hpp"
 #include "core/stream.hpp"
 #include "corsaro/corsaro.hpp"
+#include "mrt/file.hpp"
 #include "pool/live_source.hpp"
 #include "sim/replay.hpp"
 #include "util.hpp"
@@ -266,47 +269,91 @@ Result<RtRef> SequentialRt(const Archive& rib) {
   return ref;
 }
 
-Result<LiveRef> SequentialLive(const Frames& frames, const std::string& spool) {
-  fs::remove_all(spool);
-  pool::LiveSource::Options opt;
-  opt.spool_dir = spool;
-  opt.flush_records = 64;
-  auto source = pool::LiveSource::Create(std::move(opt));
-  if (!source.ok()) return source.status();
+// Decodes every frame directly: bmp::Decode, then bmp::ToMrt with the
+// local ASN learned from the peer's Peer Up (the session -> MRT mapping
+// of a BMP collector), then the elems of the MRT message. Records carry
+// the provenance a LiveSource stamps by default.
+Result<LiveRef> DirectLive(const Frames& frames) {
+  const pool::LiveSource::Options names;
+  std::map<std::pair<std::string, uint32_t>, uint32_t> local_asn;
   LiveRef ref;
   ref.records_per_frame.reserve(frames.size());
-  auto produced = [&] {
-    auto s = (*source)->stats();
-    return s.records_spooled + s.pending_records;
-  };
-  size_t before = produced();
+  Digest digest;
   for (size_t i = 0; i < frames.size(); ++i) {
-    BGPS_RETURN_IF_ERROR((*source)->IngestBmp(frames.frame(i)));
-    size_t after = produced();
-    if (after - before > 255) return CorruptError("frame with >255 records");
-    ref.records_per_frame.push_back(uint8_t(after - before));
-    before = after;
-  }
-  BGPS_RETURN_IF_ERROR((*source)->Close());
-  {
-    core::BgpStream stream;
-    stream.SetLive(0);
-    stream.SetDataInterface((*source)->feed());
-    BGPS_RETURN_IF_ERROR(stream.Start());
-    Digest digest;
-    while (auto rec = stream.NextRecord()) {
-      ++ref.stream.records;
-      digest.AddRecordContent(*rec);
-      for (const auto& e : stream.Elems(*rec)) {
-        ++ref.stream.elems;
-        digest.AddElem(e);
-      }
+    BufReader r(frames.frame(i));
+    auto msg = bmp::Decode(r);
+    if (!msg.ok()) return msg.status();
+    const bmp::PeerHeader* ph = nullptr;
+    if (msg->is_route_monitoring())
+      ph = &std::get<bmp::RouteMonitoring>(msg->body).peer;
+    else if (msg->is_peer_down())
+      ph = &std::get<bmp::PeerDown>(msg->body).peer;
+    else if (msg->is_peer_up())
+      ph = &std::get<bmp::PeerUp>(msg->body).peer;
+    bgp::Asn hint = 0;
+    if (ph != nullptr) {
+      const auto key = std::make_pair(ph->peer_address.ToString(),
+                                      uint32_t(ph->peer_asn));
+      if (msg->is_peer_up())
+        local_asn[key] = uint32_t(std::get<bmp::PeerUp>(msg->body).local_asn);
+      auto it = local_asn.find(key);
+      if (it != local_asn.end()) hint = it->second;
     }
-    if (!stream.status().ok()) return stream.status();
-    ref.stream.digest = digest.value();
+    auto mrt_msg = bmp::ToMrt(*msg, hint);
+    ref.records_per_frame.push_back(mrt_msg ? 1 : 0);
+    if (!mrt_msg) continue;
+    core::Record rec;
+    rec.project = names.project;
+    rec.collector = names.collector;
+    rec.timestamp = mrt_msg->timestamp;
+    rec.msg = std::move(*mrt_msg);
+    ++ref.stream.records;
+    digest.AddRecordContent(rec);
+    for (const auto& e : core::ExtractElems(rec)) {
+      ++ref.stream.elems;
+      digest.AddElem(e);
+    }
   }
-  fs::remove_all(spool);
+  ref.stream.digest = digest.value();
   return ref;
+}
+
+// Writes the head copy of every file of the window (its first
+// kHeadRecords records, byte for byte), marked done with a marker file.
+Status EnsureHeads(Archive& a, double& generate_s) {
+  a.heads = a.root + ".heads";
+  const std::string marker = a.heads + ".done";
+  const std::string signature = "heads v1 records=" + std::to_string(kHeadRecords) +
+                                " end=" + std::to_string(a.end);
+  {
+    std::ifstream in(marker);
+    std::string line;
+    if (std::getline(in, line) && line == signature) return OkStatus();
+  }
+  const double t0 = Now();
+  fs::remove_all(a.heads);
+  for (const auto& path : a.paths) {
+    if (path.rfind(a.root, 0) != 0)
+      return InvalidArgument("dump file " + path + " is outside " + a.root);
+    mrt::MrtFileReader reader;
+    BGPS_RETURN_IF_ERROR(reader.Open(path));
+    for (size_t i = 0; i < kHeadRecords && reader.Next().ok(); ++i) {
+    }
+    std::vector<char> bytes(reader.offset());
+    std::ifstream in(path, std::ios::binary);
+    in.read(bytes.data(), std::streamsize(bytes.size()));
+    const std::string head = HeadPath(a, path);
+    std::error_code ec;
+    fs::create_directories(fs::path(head).parent_path(), ec);
+    std::ofstream out(head, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), std::streamsize(bytes.size()));
+    if (!in || !out) return IoError("cannot write " + head);
+  }
+  std::ofstream m(marker);
+  m << signature << "\n";
+  if (!m) return IoError("cannot write " + marker);
+  generate_s += Now() - t0;
+  return OkStatus();
 }
 
 Result<StreamRef> SequentialStream(const Archive& archive, bool filtered) {
@@ -317,22 +364,18 @@ Result<StreamRef> SequentialStream(const Archive& archive, bool filtered) {
   stream.SetInterval(archive.start, archive.end);
   stream.SetDataInterface(&di);
   BGPS_RETURN_IF_ERROR(stream.Start());
-  StreamRef ref;
-  Digest digest;
-  while (auto rec = stream.NextRecord()) {
-    ++ref.records;
-    digest.AddRecord(*rec);
-    for (const auto& e : stream.Elems(*rec)) {
-      ++ref.elems;
-      digest.AddElem(e);
-    }
-  }
-  if (!stream.status().ok()) return stream.status();
-  ref.digest = digest.value();
+  const StreamRef ref = Drain(
+      stream, "stream.next_record", "stream.elems", false,
+      [](uint64_t) { return true; }, [](uint64_t) {});
+  BGPS_RETURN_IF_ERROR(stream.status());
   return ref;
 }
 
 }  // namespace
+
+std::string HeadPath(const Archive& a, const std::string& path) {
+  return a.heads + path.substr(a.root.size());
+}
 
 void WarmArchive(const Archive& archive) {
   std::vector<char> buf(1 << 20);
@@ -378,6 +421,7 @@ Result<Inputs> EnsureInputs(const std::string& workload,
   if (workload == "fanout") {
     BGPS_ASSIGN_OR_RETURN(in.filtered_ref,
                           stream_ref(in.archive, true, refs + "/filtered" + s));
+    BGPS_RETURN_IF_ERROR(EnsureHeads(in.archive, in.generate_s));
   }
   if (workload == "rib-rt") {
     BGPS_ASSIGN_OR_RETURN(in.rib, EnsureRib(scale.rib, base + "/rib" + s, in.generate_s));
@@ -412,9 +456,7 @@ Result<Inputs> EnsureInputs(const std::string& workload,
       in.live_ref.records_per_frame = std::move(counts);
     } else {
       const double t0 = Now();
-      BGPS_ASSIGN_OR_RETURN(
-          in.live_ref,
-          SequentialLive(in.frames, base + "/spool-ref-" + std::to_string(::getpid())));
+      BGPS_ASSIGN_OR_RETURN(in.live_ref, DirectLive(in.frames));
       in.reference_s += Now() - t0;
       const StreamRef& r = in.live_ref.stream;
       BGPS_RETURN_IF_ERROR(WriteRef(path, {r.records, r.elems, r.digest}));

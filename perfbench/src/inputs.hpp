@@ -9,10 +9,11 @@
 //
 // The reference outputs are the sequential path's: a synchronous
 // BgpStream (unfiltered and filtered), a one-shard RoutingTables run,
-// and the frames ingested in one go and read back by a synchronous
-// stream. They are cached beside the inputs under the perfbench
-// binary's build id, so a rebuilt program is checked against its own
-// sequential path.
+// and a direct decode of every BMP frame (bmp::Decode, then bmp::ToMrt
+// with the peer's learned local ASN, then elem extraction), which
+// shares no code with LiveSource's spooling or the live stream. They
+// are cached beside the inputs under the perfbench binary's build id,
+// so a rebuilt program is checked against its own sequential path.
 #pragma once
 
 #include <span>
@@ -59,7 +60,15 @@ struct Archive {
   bgps::Timestamp end = 0;
   std::vector<std::string> paths;
   uint64_t bytes = 0;  // of `paths`
+  // Root of the head copies of `paths` (fanout's set-up), or empty.
+  std::string heads;
 };
+
+// Records in the head copy of a dump file: its first kHeadRecords.
+inline constexpr size_t kHeadRecords = 128;
+
+// Where the head copy of `path`, a file under `a.root`, lives.
+std::string HeadPath(const Archive& a, const std::string& path);
 
 // Output of one sequential stream pass: counts and digest.
 struct StreamRef {

@@ -247,14 +247,13 @@ void AddSpanMetrics(double passes, std::map<std::string, double>& out) {
   out["live.ingest_p99_us"] = stat("live.ingest").p99_s * 1e6;
 }
 
-void FinishTrace(const Config& config, double untraced_rate,
-                 double traced_rate, double generation_rate,
-                 Outcome& outcome) {
+void FinishTrace(const Config& config, const Rates& rates,
+                 double generation_rate, Outcome& outcome) {
   auto& v = outcome.values;
   v["trace.overhead"] =
-      untraced_rate > 0 ? 1.0 - traced_rate / untraced_rate : 0.0;
+      rates.untraced > 0 ? 1.0 - rates.traced / rates.untraced : 0.0;
   v["realtime_headroom_x"] =
-      generation_rate > 0 ? untraced_rate / generation_rate : 0.0;
+      generation_rate > 0 ? rates.untraced / generation_rate : 0.0;
   const std::string dir = config.cache_dir + "/traces";
   std::error_code ec;
   fs::create_directories(dir, ec);

@@ -9,6 +9,8 @@
 // latency-bound tenant and a bulk one.
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <optional>
 #include <thread>
@@ -81,7 +83,7 @@ double SetupOnce(const std::string& spool) {
 }
 
 // The weight-1 backfill tenant: drains the archive corpus over and over
-// on its own thread until stopped. Every complete pass is checked
+// on its own thread until stopped. Every complete drain is checked
 // against the sequential digest.
 class Backfill {
  public:
@@ -92,19 +94,21 @@ class Backfill {
   Backfill& operator=(const Backfill&) = delete;
 
   uint64_t records() const { return records_.load(std::memory_order_relaxed); }
+  // After Stop(): the most files any drain had open at once.
+  size_t max_open_files() const { return max_open_files_; }
 
   void Stop() {
     stop_.store(true);
     if (thread_.joinable()) thread_.join();
   }
-  // After Stop(): the checked passes.
+  // After Stop(): the checked drains.
   void Report(Outcome& o) const {
-    for (size_t i = 0; i < passes_.size(); ++i) {
-      const StreamRef& got = passes_[i];
+    for (size_t i = 0; i < drains_.size(); ++i) {
+      const StreamRef& got = drains_[i];
       o.Check(got.records == ref_.records && got.elems == ref_.elems &&
                   got.digest == ref_.digest,
               ref_.records,
-              "live backfill pass " + std::to_string(i) + ": digest " +
+              "live backfill drain " + std::to_string(i) + ": digest " +
                   Hex(got.digest) + " vs sequential " + Hex(ref_.digest));
     }
   }
@@ -115,42 +119,24 @@ class Backfill {
       broker::Broker broker(archive_.root);
       core::BrokerDataInterface broker_di(&broker);
       TimedDataInterface di(&broker_di);
+      core::BgpStream::Options options;
+      options.file_open_hook = FileOpenSpan;
       StreamPool::TenantOptions tenant;
       tenant.name = "backfill";
-      auto stream = pool_->CreateStream({}, std::move(tenant));
+      auto stream = pool_->CreateStream(std::move(options), std::move(tenant));
       stream->SetInterval(archive_.start, archive_.end);
       stream->SetDataInterface(&di);
       if (!stream->Start().ok()) {
-        passes_.push_back({});  // fails the check
+        drains_.push_back({});  // fails the check
         return;
       }
-      StreamRef got;
-      Digest digest;
-      std::vector<core::Elem> elems;
-      bool complete = true;
-      for (;;) {
-        if (stop_.load(std::memory_order_relaxed)) {
-          complete = false;
-          break;
-        }
-        std::optional<core::Record> rec;
-        {
-          trace::Span span("stream.next_record");
-          rec = stream->NextRecord();
-        }
-        if (!rec) break;
-        records_.fetch_add(1, std::memory_order_relaxed);
-        ++got.records;
-        digest.AddRecord(*rec);
-        {
-          trace::Span span("stream.elems");
-          elems = stream->Elems(*rec);
-        }
-        got.elems += elems.size();
-        for (const auto& e : elems) digest.AddElem(e);
-      }
-      got.digest = digest.value();
-      if (complete) passes_.push_back(stream->status().ok() ? got : StreamRef{});
+      const StreamRef got = Drain(
+          *stream, "stream.next_record", "stream.elems", false,
+          [&](uint64_t) { return !stop_.load(std::memory_order_relaxed); },
+          [&](uint64_t) { records_.fetch_add(1, std::memory_order_relaxed); });
+      max_open_files_ = std::max(max_open_files_, stream->max_open_files());
+      // A drain that Stop() cut short is not checked.
+      if (!stop_.load()) drains_.push_back(stream->status().ok() ? got : StreamRef{});
     }
   }
 
@@ -159,7 +145,8 @@ class Backfill {
   const StreamRef& ref_;
   std::atomic<bool> stop_{false};
   std::atomic<uint64_t> records_{0};
-  std::vector<StreamRef> passes_;  // written by the thread until joined
+  std::vector<StreamRef> drains_;  // written by the thread until joined
+  size_t max_open_files_ = 0;      // likewise
   std::thread thread_;             // last: starts after the fields it uses
 };
 
@@ -168,6 +155,7 @@ struct Pass {
   double window_s = 0.0;
   double backfill_rate = 0.0;
   double rss_mb = 0.0;
+  size_t backfill_max_open_files = 0;
   uint64_t ingest_failures = 0;
   std::vector<double> latency_ms;
   std::vector<double> late_ms;
@@ -175,14 +163,23 @@ struct Pass {
   pool::LiveSource::Stats source;
 };
 
-// One live window: the whole frame set offered open-loop at `rate`.
-Pass RunPass(StreamPool& pool, const Frames& frames,
-             const std::vector<uint32_t>& record_frames, double rate,
-             const std::string& spool, const Backfill& backfill) {
+// One live window, from scratch: a fresh pool, the backfill tenant
+// draining on it, then the live tenant started and the whole frame set
+// offered open-loop at `rate`. A traced pass samples the pool into
+// `layer`. The backfill's drains are checked into `outcome`.
+Pass RunPass(const Inputs& in, const std::vector<uint32_t>& record_frames,
+             double rate, const std::string& spool,
+             std::map<std::string, double>* layer, Outcome& outcome) {
   Pass p;
+  const Frames& frames = in.frames;
   fs::remove_all(spool);
+  auto pool = StreamPool::Create({.threads = kLiveThreads});
+  if (!pool.ok()) return p;
+  std::optional<PoolSampler> sampler;
+  if (layer != nullptr) sampler.emplace(pool->get());
+  Backfill backfill(pool->get(), in.archive, in.archive_ref);
   LiveTenant tenant;
-  if (!tenant.Start(pool, spool).ok()) return p;
+  if (!tenant.Start(**pool, spool).ok()) return p;
   ResetPeakRss();
   p.latency_ms.reserve(record_frames.size());
   p.late_ms.reserve(frames.size());
@@ -191,30 +188,16 @@ Pass RunPass(StreamPool& pool, const Frames& frames,
   double last_record = start;
   bool stream_ok = false;
   std::thread consumer([&] {
-    Digest digest;
-    std::vector<core::Elem> elems;
-    for (;;) {
-      std::optional<core::Record> rec;
-      {
-        trace::Span span("live.next_record");
-        rec = tenant.stream->NextRecord();
-      }
-      if (!rec) break;
-      last_record = Now();
-      const size_t k = p.out.records++;
-      if (k < record_frames.size()) {
-        p.latency_ms.push_back(openloop::LatencyMs(
-            openloop::DueTime(start, record_frames[k], rate), last_record));
-      }
-      digest.AddRecordContent(*rec);
-      {
-        trace::Span span("live.elems");
-        elems = tenant.stream->Elems(*rec);
-      }
-      p.out.elems += elems.size();
-      for (const auto& e : elems) digest.AddElem(e);
-    }
-    p.out.digest = digest.value();
+    p.out = Drain(
+        *tenant.stream, "live.next_record", "live.elems", true,
+        [](uint64_t) { return true; },
+        [&](uint64_t k) {
+          last_record = Now();
+          if (k < record_frames.size()) {
+            p.latency_ms.push_back(openloop::LatencyMs(
+                openloop::DueTime(start, record_frames[k], rate), last_record));
+          }
+        });
     stream_ok = tenant.stream->status().ok();
   });
   using Clock = std::chrono::steady_clock;
@@ -239,6 +222,10 @@ Pass RunPass(StreamPool& pool, const Frames& frames,
   p.rss_mb = PeakRssMiB();
   p.source = tenant.source->stats();
   p.ok = closed && stream_ok;
+  backfill.Stop();
+  backfill.Report(outcome);
+  p.backfill_max_open_files = backfill.max_open_files();
+  if (sampler) sampler->StopInto(*layer);
   tenant.stream.reset();
   tenant.source.reset();
   fs::remove_all(spool);
@@ -255,89 +242,66 @@ Outcome RunLive(const Config& config, const Inputs& in) {
   const double rate = in.scale.live_rate;
   const std::string spool = config.cache_dir + "/live-spool-" +
                             std::to_string(::getpid());
-  // Half the set-ups run before the live window and half after it (the
-  // backfill would contend with them during it), so their median spans
-  // the run.
-  std::vector<double> setup;
-  auto set_up = [&](int reps) {
-    for (int i = 0; i < reps && !config.trace; ++i)
-      setup.push_back(SetupOnce(spool));
-  };
-  set_up(kSetupReps / 2);
-  auto pool = StreamPool::Create({.threads = kLiveThreads});
-  if (!pool.ok()) {
-    o.Fail("live: " + pool.status().ToString());
-    return o;
-  }
   std::map<std::string, double> layer;
-  // Per untraced pass: backfill rate, peak RSS, latency percentiles and
-  // generator lateness. Reported as medians over the passes, so one
-  // window disturbed by the host does not decide the run.
-  std::vector<double> backfill_rate, rss, p50, p99, late99, traced_backfill_rate;
-  std::vector<double> traced_p50;
+  // Per untraced pass: latency median and generator lateness, for the
+  // summary; the pass loop keeps the rest.
+  std::vector<double> p50, p99, late99, traced_p50;
   double late_max = 0.0, traced_window = 0.0;
-  size_t samples = 0;
+  size_t samples = 0, max_open = 0;
   bool p99_supported = true;
   pool::LiveSource::Stats traced_source;
-  {
-    Backfill backfill(pool->get(), in.archive, in.archive_ref);
-    const double deadline = Now() + config.seconds;
-    for (int pass = 0;; ++pass) {
-      const bool traced = config.trace && pass % 2 == 1;
-      if (Now() >= deadline && int(backfill_rate.size()) >= kMinPasses &&
-          (!config.trace || int(traced_backfill_rate.size()) >= kMinPasses))
-        break;
-      trace::SetRun(uint32_t(pass));
-      trace::SetEnabled(traced);
-      std::optional<PoolSampler> sampler;
-      if (traced) sampler.emplace(pool->get());
-      Pass p = RunPass(**pool, frames, record_frames, rate, spool, backfill);
-      if (sampler) sampler->StopInto(layer);
-      trace::SetEnabled(false);
-      o.Check(p.ok && p.ingest_failures == 0 && p.out.records == ref.records &&
-                  p.out.elems == ref.elems && p.out.digest == ref.digest,
-              frames.size(),
-              "live pass " + std::to_string(pass) + ": " +
-                  std::to_string(p.ingest_failures) + " ingest failures, " +
-                  std::to_string(p.out.records) + " records / digest " +
-                  Hex(p.out.digest) + " vs direct ingest " +
-                  std::to_string(ref.records) + " / " + Hex(ref.digest));
-      const auto lat50 = openloop::NearestRank(p.latency_ms, 50);
-      const auto lat99 = openloop::NearestRank(p.latency_ms, 99);
-      const auto gen99 = openloop::NearestRank(p.late_ms, 99);
-      const double gen_max =
-          p.late_ms.empty() ? 0.0 : *std::max_element(p.late_ms.begin(), p.late_ms.end());
-      char line[256];
-      std::snprintf(line, sizeof(line),
-                    "live pass %d%s: latency p50 %.3f ms p99 %.3f ms (%zu samples); "
-                    "generator late p99 %.3f ms max %.3f ms; %zu parks; backfill "
-                    "%.0f records/s",
-                    pass, traced ? " (traced)" : "", lat50.value, lat99.value,
-                    lat99.samples, gen99.value, gen_max, p.source.parks,
-                    p.backfill_rate);
-      o.notes.push_back(line);
-      if (traced) {
-        traced_backfill_rate.push_back(p.backfill_rate);
-        traced_p50.push_back(lat50.value);
-        traced_window += p.window_s;
-        traced_source.dumps_published += p.source.dumps_published;
-        traced_source.parks += p.source.parks;
-        traced_source.corrupt_frames += p.source.corrupt_frames;
-        continue;
-      }
-      backfill_rate.push_back(p.backfill_rate);
-      rss.push_back(p.rss_mb);
-      p50.push_back(lat50.value);
-      p99.push_back(lat99.value);
-      late99.push_back(gen99.value);
-      late_max = std::max(late_max, gen_max);
-      samples += lat99.samples;
-      p99_supported = p99_supported && lat99.supported();
-    }
-    backfill.Stop();
-    backfill.Report(o);
-  }
-  set_up(kSetupReps - kSetupReps / 2);
+  const Rates rates = RunPasses(
+      config, o,
+      [&](int n, bool traced) {
+        const Pass p = RunPass(in, record_frames, rate, spool,
+                               traced ? &layer : nullptr, o);
+        o.Check(p.ok && p.ingest_failures == 0 && p.out.records == ref.records &&
+                    p.out.elems == ref.elems && p.out.digest == ref.digest,
+                frames.size(),
+                "live pass " + std::to_string(n) + ": " +
+                    std::to_string(p.ingest_failures) + " ingest failures, " +
+                    std::to_string(p.out.records) + " records / " +
+                    std::to_string(p.out.elems) + " elems / digest " +
+                    Hex(p.out.digest) + " vs direct decode " +
+                    std::to_string(ref.records) + " / " +
+                    std::to_string(ref.elems) + " / " + Hex(ref.digest));
+        const auto lat50 = openloop::NearestRank(p.latency_ms, 50);
+        const auto lat99 = openloop::NearestRank(p.latency_ms, 99);
+        const auto gen99 = openloop::NearestRank(p.late_ms, 99);
+        const double gen_max =
+            p.late_ms.empty() ? 0.0
+                              : *std::max_element(p.late_ms.begin(), p.late_ms.end());
+        char line[256];
+        std::snprintf(line, sizeof(line),
+                      "live pass %d%s: latency p50 %.3f ms p99 %.3f ms (%zu "
+                      "samples); generator late p99 %.3f ms max %.3f ms; %zu "
+                      "parks; backfill %.0f records/s",
+                      n, traced ? " (traced)" : "", lat50.value, lat99.value,
+                      lat99.samples, gen99.value, gen_max, p.source.parks,
+                      p.backfill_rate);
+        o.notes.push_back(line);
+        if (traced) {
+          traced_p50.push_back(lat50.value);
+          traced_window += p.window_s;
+          max_open = std::max(max_open, p.backfill_max_open_files);
+          traced_source.dumps_published += p.source.dumps_published;
+          traced_source.parks += p.source.parks;
+          traced_source.corrupt_frames += p.source.corrupt_frames;
+        } else {
+          p50.push_back(lat50.value);
+          p99.push_back(lat99.value);
+          late99.push_back(gen99.value);
+          late_max = std::max(late_max, gen_max);
+          samples += lat99.samples;
+          p99_supported = p99_supported && lat99.supported();
+        }
+        return PassResult{p.backfill_rate, lat50.value, lat99.value, p.rss_mb};
+      },
+      [&] {
+        const double setup = SetupOnce(spool);
+        o.Check(setup > 0.0, 1, "live set-up: the pool or the live tenant did not start");
+        return setup;
+      });
   char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "live: %zu frames per pass offered open-loop at %.0f/s; "
@@ -351,15 +315,10 @@ Outcome RunLive(const Config& config, const Inputs& in) {
   if (!config.trace) {
     o.notes.push_back("live: records_per_s is the backfill tenant's rate "
                       "(backfill_records_per_s)");
-    o.values["records_per_s"] = Median(backfill_rate);
-    o.values["latency_p50_ms"] = Median(p50);
-    o.values["latency_p99_ms"] = Median(p99);
-    o.values["setup_s"] = Median(setup);
-    o.values["peak_rss_mb"] = Median(rss);
     return o;
   }
   auto& v = o.values;
-  const double passes = double(traced_backfill_rate.size());
+  const double passes = double(rates.traced_passes);
   AddSpanMetrics(passes, v);
   RunLayerPasses(in.archive, v);
   for (const char* name : {"executor.tasks_run", "executor.dispatch_rounds",
@@ -368,6 +327,7 @@ Outcome RunLive(const Config& config, const Inputs& in) {
   for (const char* name :
        {"governor.max_in_use", "governor.waiting_max", "tenant.queue_depth_max"})
     v[name] = layer[name];
+  v["stream.max_open_files"] = double(max_open);
   v["live.dumps_published"] = double(traced_source.dumps_published) / passes;
   v["live.parks"] = double(traced_source.parks) / passes;
   v["live.corrupt_frames"] = double(traced_source.corrupt_frames) / passes;
@@ -376,18 +336,14 @@ Outcome RunLive(const Config& config, const Inputs& in) {
   v["latency_samples"] = double(samples);
   // The live consumer's spans (poll waits nested in NextRecord) against
   // the live window.
-  const auto spans = trace::Collect();
-  auto total = [&](const char* name) {
-    auto it = spans.find(name);
-    return it == spans.end() ? 0.0 : it->second.total_s;
-  };
   v["attribution_gap"] =
-      1.0 - (total("live.next_record") + total("live.elems")) / traced_window;
+      1.0 - (trace::Total("live.next_record") + trace::Total("live.elems")) /
+                traced_window;
   std::snprintf(buf, sizeof(buf),
                 "live: traced latency_p50_ms %.3f vs untraced %.3f",
                 Median(traced_p50), Median(p50));
   o.notes.push_back(buf);
-  FinishTrace(config, Median(backfill_rate), Median(traced_backfill_rate),
+  FinishTrace(config, rates,
               double(in.archive_ref.records) /
                   double(in.archive.end - in.archive.start),
               o);

@@ -6,15 +6,16 @@
 //
 // `prepare` generates (or finds cached) the workload's seeded inputs and
 // their sequential-path reference digests, and prints how long that
-// took. `run` measures the workload for T seconds and prints every
-// metric, then one JSON result line. run.py drives both, in separate
-// processes, so generation never shares a process (or its peak RSS)
-// with a measurement.
+// took. `run` measures the workload for T seconds and prints its notes,
+// then one JSON line with every measured value. run.py drives both, in
+// separate processes, so generation never shares a process (or its
+// peak RSS) with a measurement, and formats the result with the units
+// BENCHMARK.json declares.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
-#include "report.hpp"
+#include "workloads.hpp"
 
 using namespace perfbench;
 
@@ -85,6 +86,6 @@ int main(int argc, char** argv) {
   if (!inputs->archive.root.empty()) WarmArchive(inputs->archive);
   if (!inputs->rib.root.empty()) WarmArchive(inputs->rib);
   Outcome outcome = run(config, *inputs);
-  PrintReport(config, outcome);
+  PrintResult(config, outcome);
   return 0;
 }

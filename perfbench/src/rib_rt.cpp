@@ -4,8 +4,6 @@
 // a 3-worker core::Executor and a callback consumes the diffs.
 // TABLE_DUMP_V2 decode, RT apply and the bin-end diff merge dominate;
 // multi-file merge, filters and the StreamPool are absent.
-#include <optional>
-
 #include "core/executor.hpp"
 #include "core/stream.hpp"
 #include "corsaro/corsaro.hpp"
@@ -59,6 +57,9 @@ struct Pass {
   double p99_ms = 0.0;
   double rss_mb = 0.0;
   double shard_skew = 0.0;
+  size_t max_open_files = 0;
+  size_t tasks_run = 0;        // by the shard executor, over the pass
+  size_t dispatch_rounds = 0;  // likewise
   RtRef out;
 };
 
@@ -66,7 +67,7 @@ struct Pass {
 // record reached the RT plugin.
 Pass RunPass(const Archive& a, bool setup_only) {
   Pass p;
-  ResetPeakRss();
+  if (!setup_only) ResetPeakRss();  // a set-up-only pass keeps the warm heap
   const double t0 = Now();
   // Declared before the engine: the engine owns the plugin, whose shard
   // strands run on this executor.
@@ -101,12 +102,17 @@ Pass RunPass(const Archive& a, bool setup_only) {
     p.ok = true;
     return p;
   }
+  const size_t tasks0 = executor.tasks_run();
+  const size_t rounds0 = executor.dispatch_rounds();
   p.out.records = engine.Run();
   p.wall_s = Now() - t0;
+  p.tasks_run = executor.tasks_run() - tasks0;
+  p.dispatch_rounds = executor.dispatch_rounds() - rounds0;
   p.setup_s = latency.first_s();
   p.p50_ms = latency.p50_ms();
   p.p99_ms = latency.p99_ms();
   p.rss_mb = PeakRssMiB();
+  p.max_open_files = stream.max_open_files();
   p.out.bins = rt_ptr->bin_stats().size();
   p.out.rib_mismatches = rt_ptr->rib_mismatches();
   p.out.digest = digest.value();
@@ -127,70 +133,54 @@ Pass RunPass(const Archive& a, bool setup_only) {
 Outcome RunRibRt(const Config& config, const Inputs& in) {
   Outcome o;
   const RtRef& ref = in.rib_ref;
-  std::vector<double> setup, rate, p50, p99, rss, traced_rate, skew;
-  double traced_wall = 0.0;
+  std::vector<double> skew;
+  double traced_wall = 0.0, tasks = 0.0, rounds = 0.0;
+  size_t max_open = 0;
   RtRef traced_out;
-  const double deadline = Now() + config.seconds;
-  for (int pass = 0;; ++pass) {
-    const bool traced = config.trace && pass % 2 == 1;
-    if (Now() >= deadline && int(rate.size()) >= kMinPasses &&
-        (!config.trace || int(traced_rate.size()) >= kMinPasses))
-      break;
-    trace::SetRun(uint32_t(pass));
-    trace::SetEnabled(traced);
-    Pass p = RunPass(in.rib, false);
-    trace::SetEnabled(false);
-    o.Check(p.ok && p.out.records == ref.records && p.out.bins == ref.bins &&
-                p.out.diff_cells == ref.diff_cells &&
-                p.out.rib_mismatches == ref.rib_mismatches &&
-                p.out.digest == ref.digest,
-            ref.records,
-            "rib-rt pass " + std::to_string(pass) + ": " +
-                std::to_string(p.out.diff_cells) + " diff cells / " +
-                std::to_string(p.out.rib_mismatches) + " RIB mismatches / digest " +
-                Hex(p.out.digest) + " vs one shard " +
-                std::to_string(ref.diff_cells) + " / " +
-                std::to_string(ref.rib_mismatches) + " / " + Hex(ref.digest));
-    const double r = double(p.out.records) / p.wall_s;
-    if (traced) {
-      traced_rate.push_back(r);
-      traced_wall += p.wall_s;
-      skew.push_back(p.shard_skew);
-      traced_out = p.out;
-    } else {
-      // Set-ups are spread over the run so their median samples the
-      // whole window, not the host's state at one moment.
-      for (int i = 0; i < kSetupRepsPerPass; ++i)
-        setup.push_back(RunPass(in.rib, true).setup_s);
-      rate.push_back(r);
-      setup.push_back(p.setup_s);
-      p50.push_back(p.p50_ms);
-      p99.push_back(p.p99_ms);
-      rss.push_back(p.rss_mb);
-    }
-  }
-  o.notes.push_back("rib-rt: " + std::to_string(rate.size() + traced_rate.size()) +
-                    " passes of " + std::to_string(ref.records) + " records -> " +
-                    std::to_string(ref.diff_cells) + " diff cells in " +
-                    std::to_string(ref.bins) + " bins, " +
+  const Rates rates = RunPasses(
+      config, o,
+      [&](int n, bool traced) {
+        const Pass p = RunPass(in.rib, false);
+        o.Check(p.ok && p.out.records == ref.records && p.out.bins == ref.bins &&
+                    p.out.diff_cells == ref.diff_cells &&
+                    p.out.rib_mismatches == ref.rib_mismatches &&
+                    p.out.digest == ref.digest,
+                ref.records,
+                "rib-rt pass " + std::to_string(n) + ": " +
+                    std::to_string(p.out.diff_cells) + " diff cells / " +
+                    std::to_string(p.out.rib_mismatches) +
+                    " RIB mismatches / digest " + Hex(p.out.digest) +
+                    " vs one shard " + std::to_string(ref.diff_cells) + " / " +
+                    std::to_string(ref.rib_mismatches) + " / " + Hex(ref.digest));
+        if (traced) {
+          traced_wall += p.wall_s;
+          skew.push_back(p.shard_skew);
+          max_open = std::max(max_open, p.max_open_files);
+          tasks += double(p.tasks_run);
+          rounds += double(p.dispatch_rounds);
+          traced_out = p.out;
+        }
+        return PassResult{double(p.out.records) / p.wall_s, p.p50_ms, p.p99_ms,
+                          p.rss_mb};
+      },
+      [&] { return RunPass(in.rib, true).setup_s; });
+  o.notes.push_back("rib-rt: per pass " + std::to_string(ref.records) +
+                    " records -> " + std::to_string(ref.diff_cells) +
+                    " diff cells in " + std::to_string(ref.bins) + " bins, " +
                     std::to_string(kRtShards) + " shards on " +
                     std::to_string(kRtThreads) + " workers");
-  if (!config.trace) {
-    o.values["records_per_s"] = Median(rate);
-    o.values["latency_p50_ms"] = Median(p50);
-    o.values["latency_p99_ms"] = Median(p99);
-    o.values["setup_s"] = Median(setup);
-    o.values["peak_rss_mb"] = Median(rss);
-    return o;
-  }
+  if (!config.trace) return o;
   auto& v = o.values;
-  const double passes = double(traced_rate.size());
+  const double passes = double(rates.traced_passes);
   AddSpanMetrics(passes, v);
   RunLayerPasses(in.rib, v);
   v["rt.bins"] = double(traced_out.bins);
   v["rt.diff_cells"] = double(traced_out.diff_cells);
   v["rt.rib_mismatches"] = double(traced_out.rib_mismatches);
   v["rt.shard_skew"] = Median(skew);
+  v["stream.max_open_files"] = double(max_open);
+  v["executor.tasks_run"] = tasks / passes;
+  v["executor.dispatch_rounds"] = rounds / passes;
   // BgpCorsaro::Run pulls records itself, so NextRecord and Elems are not
   // observable here; the ledger adds up the separately timed decode
   // layers and the spans around the RT plugin against the pass wall.
@@ -199,9 +189,15 @@ Outcome RunRibRt(const Config& config, const Inputs& in) {
              v["core.extract_s"] + v["rt.on_record_s"] + v["rt.bin_end_s"]) /
                 (traced_wall / passes);
   o.notes.push_back(
-      "rib-rt: stream.next_record_s / stream.elems_s are not observable "
-      "(BgpCorsaro::Run calls them internally)");
-  FinishTrace(config, Median(rate), Median(traced_rate),
+      "rib-rt: stream.next_record_s, stream.elems_s, stream.merge_self_s and "
+      "stream.next_record_p99_us are 0: BgpCorsaro::Run calls NextRecord and "
+      "Elems inside the library, where the benchmark cannot time them");
+  o.notes.push_back(
+      "rib-rt: governor.* and tenant.* are 0: no MemoryGovernor or StreamPool "
+      "tenant runs here (the shard strands are core::Executor tenants, whose "
+      "queues the library does not expose); executor.* are the shard "
+      "executor's own counters");
+  FinishTrace(config, rates,
               double(ref.records) / double(in.rib.end - in.rib.start), o);
   return o;
 }

@@ -161,6 +161,12 @@ std::map<std::string, Stat> Collect() {
   return out;
 }
 
+double Total(const std::string& name) {
+  const auto spans = Collect();
+  auto it = spans.find(name);
+  return it == spans.end() ? 0.0 : it->second.total_s;
+}
+
 uint64_t WriteSpans(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   std::lock_guard<std::mutex> registry_lock(g_registry_mu);

@@ -45,6 +45,8 @@ struct Stat {
 
 // Aggregates per span name over every thread since the process began.
 std::map<std::string, Stat> Collect();
+// Total duration of every span named `name` (0 if there was none).
+double Total(const std::string& name);
 
 // Writes the retained raw spans as tab-separated lines
 // "id parent run thread name start_ns end_ns"; returns how many spans

@@ -1,13 +1,15 @@
 // The four workloads and what they share: run configuration, the
-// outcome they report, the pass loop's bookkeeping and the traced-run
-// helpers (a timing DataInterface, StreamPool sampling, and the
-// separate per-layer passes over a workload's own inputs).
+// outcome they report, the pass loop, the drain-and-digest consumer and
+// the traced-run helpers (a timing DataInterface, StreamPool sampling,
+// and the separate per-layer passes over a workload's own inputs).
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -63,16 +65,46 @@ Outcome RunRibRt(const Config& config, const Inputs& in);
 Outcome RunFanout(const Config& config, const Inputs& in);
 Outcome RunLive(const Config& config, const Inputs& in);
 
+// Prints the notes, then the result as one JSON object on the last line
+// of standard output: correct, attempted, failed and the measured
+// values by metric name. run.py attaches the units BENCHMARK.json
+// declares.
+void PrintResult(const Config& config, const Outcome& outcome);
+
 // --- pass loop ------------------------------------------------------------
 
-// Set-up takes microseconds to milliseconds, so one sample per pass
-// would make setup_s the noisiest number of a run: live times kSetupReps
-// set-ups around its window, archive-sync and rib-rt kSetupRepsPerPass
-// after every untraced pass (which is itself one more sample).
-inline constexpr int kSetupReps = 31;
-inline constexpr int kSetupRepsPerPass = 2;
+// Set-up takes microseconds to milliseconds, so the pass loop times it
+// kSetupReps times after every untraced pass: many samples, spread over
+// the whole run rather than taken at one moment of the host's state.
+inline constexpr int kSetupReps = 8;
 // Every run measures at least this many passes of each kind.
 inline constexpr int kMinPasses = 3;
+
+// What one measured pass reports to the pass loop.
+struct PassResult {
+  double records_per_s = 0.0;
+  double p50_ms = 0.0;
+  double p99_ms = 0.0;
+  double rss_mb = 0.0;
+};
+
+// Median records_per_s of the untraced and of the traced passes.
+struct Rates {
+  double untraced = 0.0;
+  double traced = 0.0;
+  size_t traced_passes = 0;
+};
+
+// The pass loop of every workload. Runs `pass(n, traced)` back to back
+// until config.seconds have elapsed and at least kMinPasses passes of
+// each kind ran; with config.trace every second pass is traced (spans
+// recorded under run id n). After every untraced pass of an untraced
+// run, `setup` (one set-up, returning its seconds) runs kSetupReps
+// times. An untraced run sets the end-to-end metrics in `outcome`:
+// medians over the passes, and setup_s the median set-up.
+Rates RunPasses(const Config& config, Outcome& outcome,
+                const std::function<PassResult(int, bool)>& pass,
+                const std::function<double()>& setup);
 
 // Per-record delivery latency on the archive workloads: how long the
 // consumer waits from asking for its next record (calling NextRecord;
@@ -104,6 +136,42 @@ class RecordLatency {
   double first_s_ = 0.0;
   std::vector<double> samples_ms_;
 };
+
+// Drains `stream` (a BgpStream or a RecordSubscriber) and digests every
+// record and elem, with a `next_span` span around each NextRecord and an
+// `elems_span` span around each Elems call. `ask(n)` runs before record
+// n is asked for and ends the drain when it returns false; `got(n)` runs
+// once record n is in hand. `content` digests records without their
+// dump framing (Digest::AddRecordContent).
+template <typename Stream, typename Ask, typename Got>
+StreamRef Drain(Stream& stream, const char* next_span, const char* elems_span,
+                bool content, Ask&& ask, Got&& got) {
+  StreamRef out;
+  Digest digest;
+  std::vector<bgps::core::Elem> elems;
+  while (ask(out.records)) {
+    std::optional<bgps::core::Record> rec;
+    {
+      trace::Span span(next_span);
+      rec = stream.NextRecord();
+    }
+    if (!rec) break;
+    got(out.records++);
+    if (content) {
+      digest.AddRecordContent(*rec);
+    } else {
+      digest.AddRecord(*rec);
+    }
+    {
+      trace::Span span(elems_span);
+      elems = stream.Elems(*rec);
+    }
+    out.elems += elems.size();
+    for (const auto& e : elems) digest.AddElem(e);
+  }
+  out.digest = digest.value();
+  return out;
+}
 
 // --- traced-run helpers -----------------------------------------------------
 
@@ -173,8 +241,7 @@ void AddSpanMetrics(double passes, std::map<std::string, double>& out);
 
 // Common tail of a traced run: tracing overhead from the untraced and
 // traced pass rates, the realtime headroom, and the raw span dump.
-void FinishTrace(const Config& config, double untraced_rate,
-                 double traced_rate, double generation_rate,
-                 Outcome& outcome);
+void FinishTrace(const Config& config, const Rates& rates,
+                 double generation_rate, Outcome& outcome);
 
 }  // namespace perfbench

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Tiny-corpus smoke run of all four workloads, untraced and traced.
 
-Asserts that every run ends with a JSON result line whose checks all
-passed (correct, no failed operations), and that it reports every
-metric BENCHMARK.json names for its mode, each with the declared unit
+Runs the perfbench program at --scale tiny, formats its output the way
+run.py does, and asserts that every run's checks all passed (correct,
+no failed operations) and that the report names every metric
+BENCHMARK.json declares for its mode, each with the declared unit
 (end-to-end metrics also > 0).
 
     python3 perfbench/tests/smoke_test.py [--binary PATH] [--cache DIR]
@@ -19,6 +20,10 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
+sys.dont_write_bytecode = True  # leave no __pycache__ in the source tree
+sys.path.insert(0, os.path.dirname(HERE))
+import run as bench  # noqa: E402  perfbench/run.py
+
 WORKLOADS = ("archive-sync", "rib-rt", "fanout", "live")
 
 
@@ -27,10 +32,9 @@ def run(binary, cache, workload, trace):
               "--scale", "tiny"]
     subprocess.run([binary, "prepare"] + common, check=True,
                    stdout=subprocess.DEVNULL, timeout=120)
-    out = subprocess.run([binary, "run", "--seconds", "1", "--trace",
-                          str(trace)] + common, check=True, timeout=120,
-                         stdout=subprocess.PIPE, text=True).stdout
-    return out.strip().splitlines()
+    return subprocess.run([binary, "run", "--seconds", "1", "--trace",
+                           str(trace)] + common, check=True, timeout=120,
+                          stdout=subprocess.PIPE, text=True).stdout
 
 
 def main():
@@ -44,13 +48,14 @@ def main():
     args = parser.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
-    cache = args.cache
     failures = []
     for workload in WORKLOADS:
         for trace, section in ((0, "end_to_end"), (1, "per_layer")):
-            lines = run(args.binary, cache, workload, trace)
+            lines = bench.report(spec, trace,
+                                 run(args.binary, args.cache, workload, trace))
             result = json.loads(lines[-1])
             label = "%s trace=%d" % (workload, trace)
+            before = len(failures)
             if set(result) != {"correct", "attempted", "failed", "metrics"}:
                 failures.append("%s: result keys %s" % (label, sorted(result)))
                 continue
@@ -77,7 +82,8 @@ def main():
                            for l in lines):
                     failures.append("%s: no '%s ... %s' line" % (label, name,
                                                                  unit))
-            print("ok  " if not failures else "FAIL", label, flush=True)
+            print("ok  " if len(failures) == before else "FAIL", label,
+                  flush=True)
     for f in failures:
         print("FAIL:", f)
     return 1 if failures else 0
