@@ -57,14 +57,16 @@ BrokerResponse Broker::Query(const BrokerQuery& query, Timestamp cursor) {
   // In-window candidates. The first response also admits files starting
   // before the cursor (a covering RIB dump).
   std::vector<const DumpFileMeta*> candidates;
-  bool saw_future_file = false;  // matching data beyond this window
+  // Earliest start of matching data beyond this window, if any.
+  std::optional<Timestamp> next_start;
   for (const auto& f : index_.files()) {
     if (!Matches(query, f)) continue;
     bool in_window =
         first ? f.start < window_end
               : (f.start >= cursor && f.start < window_end);
     if (!in_window) {
-      if (f.start >= window_end) saw_future_file = true;
+      if (f.start >= window_end && (!next_start || f.start < *next_start))
+        next_start = f.start;
       continue;
     }
     candidates.push_back(&f);
@@ -75,9 +77,16 @@ BrokerResponse Broker::Query(const BrokerQuery& query, Timestamp cursor) {
     for (auto& f : resp.files) f.path = Rewrite(f.path);
     std::sort(resp.files.begin(), resp.files.end());
     resp.next_cursor = window_end;
-    if (resp.files.empty() && !saw_future_file &&
-        window_end >= query.interval.end) {
-      resp.exhausted = true;
+    if (resp.files.empty()) {
+      // Skip the empty windows in between: jump to the window (still on
+      // the cursor + k*window grid) holding the next matching file, or
+      // end the stream when there is none.
+      if (next_start) {
+        resp.next_cursor = cursor + (*next_start - cursor) /
+                                        options_.window * options_.window;
+      } else {
+        resp.exhausted = true;
+      }
     }
     return resp;
   }
@@ -123,7 +132,7 @@ BrokerResponse Broker::Query(const BrokerQuery& query, Timestamp cursor) {
     resp.next_cursor = std::min(cursor, *min_frontier);
     return resp;
   }
-  if (saw_future_file) {
+  if (next_start) {
     // Window empty but newer data exists: advance.
     resp.next_cursor = window_end;
     return resp;

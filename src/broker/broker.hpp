@@ -67,6 +67,10 @@ class Broker {
   // (use response.next_cursor for follow-ups). RIB dumps that *start*
   // before the cursor but overlap the query interval are included in the
   // first response so a stream can bootstrap from the covering RIB.
+  // Historical queries skip empty windows: when this window holds no
+  // matching file, next_cursor is the window (on the cursor + k*window
+  // grid) holding the next one, and the response is `exhausted` when no
+  // matching file starts at or after the cursor.
   BrokerResponse Query(const BrokerQuery& query, Timestamp cursor);
 
   size_t queries_served() const { return queries_served_; }

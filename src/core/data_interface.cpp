@@ -126,15 +126,21 @@ DataBatch CsvFileInterface::NextBatch(const FilterSet& filters) {
 }
 
 void LiveFeedInterface::Push(broker::DumpFileMeta meta) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (closed_) return;
-  queue_.push_back(std::move(meta));
-  ++published_;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_) return;
+    queue_.push_back(std::move(meta));
+    ++published_;
+  }
+  changed_.notify_one();
 }
 
 void LiveFeedInterface::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  closed_ = true;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+  }
+  changed_.notify_all();
 }
 
 bool LiveFeedInterface::closed() const {
@@ -149,7 +155,9 @@ size_t LiveFeedInterface::published() const {
 
 DataBatch LiveFeedInterface::NextBatch(const FilterSet&) {
   DataBatch batch;
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  changed_.wait_for(lock, kLongPoll,
+                    [this] { return !queue_.empty() || closed_; });
   if (!queue_.empty()) {
     batch.files.push_back(std::move(queue_.front()));
     queue_.pop_front();

@@ -4,6 +4,8 @@
 // the same "local index" use case here — see DESIGN.md.)
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <unordered_set>
@@ -83,11 +85,15 @@ class CsvFileInterface : public DataInterface {
 // BgpStream. Serves exactly ONE file per NextBatch, so the stream merges
 // publications strictly in publication order — the emitted record
 // sequence is the ingestion sequence, deterministically, with no
-// cross-file timestamp reordering between micro-dumps. While the feed is
-// open and drained, batches carry retry_later (the stream's live poll
-// loop); after Close() the drained feed reports end_of_stream. Meta
-// filters are the publisher's concern (a live session is already one
-// project/collector); record-level filters still apply downstream.
+// cross-file timestamp reordering between micro-dumps. NextBatch is a
+// long-poll: on an open, drained feed it blocks until the next Push()
+// (returning that file at once) or Close() (end_of_stream at once), and
+// answers retry_later only after kLongPoll without a publication, so the
+// stream's poll_wait/Refresh/max_consecutive_polls loop runs only on an
+// idle feed. The consumer still calls only when it is ready for data
+// (§3.3.2 client-pull). Meta filters are the publisher's concern (a live
+// session is already one project/collector); record-level filters still
+// apply downstream.
 class LiveFeedInterface : public DataInterface {
  public:
   // Publishes one dump file to the consumer. Push after Close is a
@@ -104,7 +110,13 @@ class LiveFeedInterface : public DataInterface {
   DataBatch NextBatch(const FilterSet& filters) override;
 
  private:
+  // Longest NextBatch waits on an open, drained feed: the stream's
+  // default poll_wait, so an idle feed is still re-polled about once a
+  // second.
+  static constexpr std::chrono::seconds kLongPoll{1};
+
   mutable std::mutex mu_;
+  std::condition_variable changed_;  // a Push() or Close() happened
   std::deque<broker::DumpFileMeta> queue_;
   bool closed_ = false;
   size_t published_ = 0;

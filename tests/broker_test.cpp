@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include "broker/broker.hpp"
+#include "core/data_interface.hpp"
 #include "tests/sim_fixture.hpp"
 
 namespace bgps::broker {
@@ -207,6 +208,54 @@ TEST_F(ArchiveIndexTest, LivePublicationFrontierPerTrack) {
   bool saw_rib = false;
   for (const auto& f : r2.files) saw_rib |= f.type == DumpType::Rib;
   EXPECT_TRUE(saw_rib);
+}
+
+// Every batch a historical stream over `interval` is served, as file
+// paths, plus the number of broker queries it took.
+struct ServedRun {
+  std::vector<std::vector<std::string>> batches;
+  size_t queries = 0;
+};
+
+ServedRun ServeAll(const std::string& root, TimeInterval interval) {
+  Broker::Options opt;
+  opt.clock = [] { return Timestamp(4102444800); };
+  Broker broker(root, opt);
+  core::BrokerDataInterface di(&broker);
+  core::FilterSet filters;
+  filters.interval = interval;
+  ServedRun run;
+  while (true) {
+    core::DataBatch batch = di.NextBatch(filters);
+    if (batch.end_of_stream) break;
+    std::vector<std::string> paths;
+    for (const auto& f : batch.files) paths.push_back(f.path);
+    run.batches.push_back(std::move(paths));
+  }
+  run.queries = broker.queries_served();
+  return run;
+}
+
+TEST_F(ArchiveIndexTest, HistoricalQuerySkipsEmptyWindows) {
+  // The reference: a stream starting at the first file's window on the
+  // 2 h grid of an interval that starts at 0.
+  constexpr Timestamp kWindow = 2 * 3600;
+  ArchiveIndex index(root_);
+  ASSERT_TRUE(index.Rescan().ok());
+  ASSERT_FALSE(index.files().empty());
+  const Timestamp first = index.files().front().start;
+  ServedRun reference = ServeAll(root_, {first / kWindow * kWindow, end_});
+  ASSERT_FALSE(reference.batches.empty());
+
+  // `-w 0,END`: ~200k empty windows before the corpus.
+  ServedRun from_zero = ServeAll(root_, {0, end_});
+  EXPECT_EQ(from_zero.batches, reference.batches);
+  EXPECT_LE(from_zero.queries, 4u);
+
+  // An END in 2100: ~370k empty windows after the last file.
+  ServedRun to_2100 = ServeAll(root_, {start_, 4102444800});
+  EXPECT_EQ(to_2100.batches, ServeAll(root_, {start_, end_}).batches);
+  EXPECT_LE(to_2100.queries, 4u);
 }
 
 TEST_F(ArchiveIndexTest, FirstResponseIncludesCoveringRib) {

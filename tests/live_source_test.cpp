@@ -7,7 +7,10 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
+#include <thread>
 
 #include "exabgp/exabgp.hpp"
 #include "pool/live_source.hpp"
@@ -76,7 +79,8 @@ TEST_F(LiveSourceTest, LiveFeedInterfaceServesPublicationOrder) {
   core::LiveFeedInterface feed;
   core::FilterSet filters;
 
-  // Open + empty: retry_later, not end_of_stream.
+  // Open + empty: retry_later (after the long-poll bound), not
+  // end_of_stream.
   auto batch = feed.NextBatch(filters);
   EXPECT_TRUE(batch.retry_later);
   EXPECT_FALSE(batch.end_of_stream);
@@ -106,6 +110,82 @@ TEST_F(LiveSourceTest, LiveFeedInterfaceServesPublicationOrder) {
   batch = feed.NextBatch(filters);
   EXPECT_TRUE(batch.end_of_stream);
   EXPECT_EQ(feed.published(), 2u);
+}
+
+// Pins the long-poll: a NextBatch blocked on an open, drained feed
+// returns the file another thread pushes, well inside the 1 s bound.
+TEST_F(LiveSourceTest, BlockedNextBatchWakesOnPush) {
+  core::LiveFeedInterface feed;
+  broker::DumpFileMeta a;
+  a.path = "a.mrt";
+  std::thread publisher([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    feed.Push(a);
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  auto batch = feed.NextBatch(core::FilterSet{});
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  publisher.join();
+  ASSERT_EQ(batch.files.size(), 1u);
+  EXPECT_EQ(batch.files[0].path, "a.mrt");
+  EXPECT_FALSE(batch.retry_later);
+  EXPECT_LT(waited, std::chrono::milliseconds(500));
+}
+
+// Close() from another thread ends a blocked NextBatch at once.
+TEST_F(LiveSourceTest, BlockedNextBatchEndsOnClose) {
+  core::LiveFeedInterface feed;
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    feed.Close();
+  });
+  const auto t0 = std::chrono::steady_clock::now();
+  auto batch = feed.NextBatch(core::FilterSet{});
+  const auto waited = std::chrono::steady_clock::now() - t0;
+  closer.join();
+  EXPECT_TRUE(batch.end_of_stream);
+  EXPECT_TRUE(batch.files.empty());
+  EXPECT_LT(waited, std::chrono::milliseconds(500));
+}
+
+// A live stream over an active feed never reaches its poll loop: every
+// micro-dump, published 20 ms apart, wakes the blocked consumer.
+TEST_F(LiveSourceTest, ActiveFeedDrainsWithoutPollWait) {
+  auto frames = livetest::ScriptedBmpSession();
+  pool::LiveSource::Options opt;
+  opt.spool_dir = Path("spool");
+  opt.flush_records = 1;  // one micro-dump per record
+  auto source = pool::LiveSource::Create(std::move(opt));
+  ASSERT_TRUE(source.ok());
+
+  std::atomic<size_t> poll_waits{0};
+  core::BgpStream::Options sopt = livetest::LiveStreamOptions();
+  sopt.poll_wait = [&poll_waits] { ++poll_waits; };
+  core::BgpStream stream(std::move(sopt));
+  stream.SetLive(0);
+  stream.SetDataInterface((*source)->feed());
+  ASSERT_TRUE(stream.Start().ok());
+
+  Status ingest = OkStatus();
+  std::thread session([&] {
+    for (const auto& frame : frames) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ingest = (*source)->IngestBmp(bmp::Encode(frame));
+      if (!ingest.ok()) break;
+    }
+    if (ingest.ok()) ingest = (*source)->Close();
+  });
+  StreamRun live = Drain(stream);
+  session.join();
+  ASSERT_TRUE(ingest.ok()) << ingest.ToString();
+  ASSERT_TRUE(live.status.ok()) << live.status.ToString();
+
+  EXPECT_EQ((*source)->stats().dumps_published, 7u);
+  EXPECT_EQ(live.records.size(), 7u);
+  EXPECT_EQ(poll_waits.load(), 0u);
+  auto meta = livetest::WriteBaselineDump(livetest::DirectMrtRecords(frames),
+                                          Path("base.mrt"));
+  EXPECT_EQ(live.elems, DrainBaseline(meta).elems);
 }
 
 TEST_F(LiveSourceTest, BmpSessionByteIdenticalToDirectDecode) {

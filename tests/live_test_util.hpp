@@ -224,13 +224,15 @@ inline broker::DumpFileMeta WriteBaselineDump(
 
 // Live-tenant stream options: a fast poll (the feed is usually already
 // closed in tests) plus a poll cap as a hang backstop — a bug that
-// never closes the feed fails the test instead of wedging ctest.
+// never closes the feed fails the test instead of wedging ctest. Each
+// empty poll of a LiveFeedInterface first waits up to 1 s for a
+// publication, so the cap counts seconds.
 inline core::BgpStream::Options LiveStreamOptions() {
   core::BgpStream::Options opt;
   opt.poll_wait = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   };
-  opt.max_consecutive_polls = 30000;  // ~30 s of empty polls
+  opt.max_consecutive_polls = 30;  // ~30 s of empty polls
   return opt;
 }
 

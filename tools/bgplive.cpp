@@ -214,8 +214,9 @@ int main(int argc, char** argv) {
   auto source = pool::LiveSource::Create(std::move(sopt));
   if (!source.ok()) return fail(source.status().ToString());
 
-  // The live tenant: a deadline-class stream polling the feed. The
-  // 10 ms poll keeps record latency low without busy-waiting.
+  // The live tenant: a deadline-class stream reading the feed. The feed
+  // wakes it on each publication; this 10 ms poll only runs after an
+  // idle second without one.
   core::BgpStream::Options topt;
   topt.poll_wait = [] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));

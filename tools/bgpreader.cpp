@@ -392,8 +392,9 @@ int main(int argc, char** argv) {
   std::condition_variable stats_cv;
   bool stats_done = false;
   if (pool && pool_stats_interval > 0.0) {
+    // `interval` goes out of scope before the thread ends: copy it in.
     auto interval = std::chrono::duration<double>(pool_stats_interval);
-    stats_thread = std::thread([&] {
+    stats_thread = std::thread([&, interval] {
       std::unique_lock<std::mutex> lock(stats_mu);
       while (!stats_cv.wait_for(lock, interval, [&] { return stats_done; })) {
         DumpPoolStats(*pool, stats_json, stats_out);
