@@ -154,20 +154,20 @@ void BM_RibRecordDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_RibRecordDecode)->Arg(4)->Arg(32)->Arg(256);
 
-// --- End-to-end stream: the three-stage asynchronous pipeline --------------
+// --- End-to-end stream: synchronous vs asynchronous decode ----------------
 //
 // A multi-file merge workload: 8 overlapping-subsets of 4 updates files
 // each, served one subset per DataBatch. Two latency knobs emulate the
 // paper's deployment, where dump files stream over HTTP from the
 // RouteViews / RIS archives and the broker answers windowed meta-data
 // queries: range(0) = per-file open latency (µs), range(1) = per-batch
-// broker round-trip latency (µs). These are exactly the stalls the
-// asynchronous pipeline (paper §3.1/§3.3.2/§3.3.4) exists to hide:
-//   BM_StreamSync               everything inline on the consumer thread
-//   BM_StreamPrefetch           decode-ahead within a batch (PR 1 path)
-//   BM_StreamCrossBatchExtract  + eager next-batch fetch + worker-side
-//                               elem extraction
-//   BM_StreamFullPipeline       + chunked decode (bounded buffers)
+// broker round-trip latency (µs). File-open stalls are what the
+// asynchronous decode stage (paper §3.1/§3.3.4) exists to hide:
+//   BM_StreamSync      everything inline on the consumer thread
+//   BM_StreamPrefetch  a StreamPool stream (4 shared workers) decoding
+//                      3 subsets ahead; range(2) = per-subset record
+//                      cap (0 = the pool's whole budget, 512 = 128
+//                      buffered records per file)
 // At 0/0 latency the set measures pure CPU overhead of the handoffs.
 // Every variant consumes records *and elems*, and reports records/sec
 // alongside wall time.
@@ -260,28 +260,35 @@ class BatchedDataInterface : public core::DataInterface {
   size_t next_ = 0;
 };
 
+// Streams `files` (served `files_per_batch` per DataBatch) once per
+// benchmark iteration, consuming records and elems: synchronously when
+// `pool` is null, else through a stream vended from it with
+// `base_options`. Reports wall-clock records/s and per-run counts.
 void RunStreamBench(benchmark::State& state,
-                    const core::BgpStream::Options& base_options) {
-  const auto& files = GetThroughputArchive();
+                    const std::vector<broker::DumpFileMeta>& files,
+                    size_t files_per_batch, StreamPool* pool,
+                    const core::BgpStream::Options& base_options = {}) {
   auto open_latency = std::chrono::microseconds(state.range(0));
   auto batch_latency = std::chrono::microseconds(state.range(1));
   size_t records = 0, elems = 0;
   auto wall_start = std::chrono::steady_clock::now();
   for (auto _ : state) {
-    BatchedDataInterface di(files, kBenchFilesPerSubset, batch_latency);
+    BatchedDataInterface di(files, files_per_batch, batch_latency);
     core::BgpStream::Options opt = base_options;
     if (open_latency.count() > 0) {
       opt.file_open_hook = [open_latency](const broker::DumpFileMeta&) {
         std::this_thread::sleep_for(open_latency);
       };
     }
-    core::BgpStream stream(std::move(opt));
-    stream.SetInterval(0, 4102444800);
-    stream.SetDataInterface(&di);
-    if (!stream.Start().ok()) std::abort();
-    while (auto rec = stream.NextRecord()) {
+    std::unique_ptr<core::BgpStream> stream =
+        pool ? pool->CreateStream(std::move(opt))
+             : std::make_unique<core::BgpStream>(std::move(opt));
+    stream->SetInterval(0, 4102444800);
+    stream->SetDataInterface(&di);
+    if (!stream->Start().ok()) std::abort();
+    while (auto rec = stream->NextRecord()) {
       records += 1;
-      for (const auto& e : stream.Elems(*rec)) {
+      for (const auto& e : stream->Elems(*rec)) {
         elems += 1;
         benchmark::DoNotOptimize(e.time);
       }
@@ -302,34 +309,25 @@ void RunStreamBench(benchmark::State& state,
       double(elems) / double(state.iterations());
 }
 
+// A pool of `threads` shared decode workers with the default budget.
+std::unique_ptr<StreamPool> MakeBenchPool(size_t threads) {
+  auto pool = StreamPool::Create({.threads = threads});
+  if (!pool.ok()) std::abort();
+  return std::move(*pool);
+}
+
 void BM_StreamSync(benchmark::State& state) {
-  RunStreamBench(state, {});
+  RunStreamBench(state, GetThroughputArchive(), kBenchFilesPerSubset,
+                 /*pool=*/nullptr);
 }
 
 void BM_StreamPrefetch(benchmark::State& state) {
+  auto pool = MakeBenchPool(4);
   core::BgpStream::Options opt;
   opt.prefetch_subsets = 3;
-  opt.decode_threads = 4;
-  RunStreamBench(state, opt);
-}
-
-void BM_StreamCrossBatchExtract(benchmark::State& state) {
-  core::BgpStream::Options opt;
-  opt.prefetch_subsets = 3;
-  opt.decode_threads = 4;
-  opt.prefetch_batches = true;
-  opt.extract_elems_in_workers = true;
-  RunStreamBench(state, opt);
-}
-
-void BM_StreamFullPipeline(benchmark::State& state) {
-  core::BgpStream::Options opt;
-  opt.prefetch_subsets = 3;
-  opt.decode_threads = 4;
-  opt.prefetch_batches = true;
-  opt.extract_elems_in_workers = true;
-  opt.max_records_in_flight = 512;  // per-subset cap: 128 per file × 4 files
-  RunStreamBench(state, opt);
+  opt.max_records_in_flight = size_t(state.range(2));
+  RunStreamBench(state, GetThroughputArchive(), kBenchFilesPerSubset,
+                 pool.get(), opt);
 }
 
 #define BGPS_STREAM_BENCH(fn)                                        \
@@ -337,11 +335,14 @@ void BM_StreamFullPipeline(benchmark::State& state) {
       benchmark::kMillisecond)
 
 BGPS_STREAM_BENCH(BM_StreamSync);
-BGPS_STREAM_BENCH(BM_StreamPrefetch);
-BGPS_STREAM_BENCH(BM_StreamCrossBatchExtract);
-BGPS_STREAM_BENCH(BM_StreamFullPipeline);
+BENCHMARK(BM_StreamPrefetch)
+    ->Args({0, 0, 0})
+    ->Args({2000, 5000, 0})
+    ->Args({0, 0, 512})
+    ->Args({2000, 5000, 512})
+    ->Unit(benchmark::kMillisecond);
 
-// --- Simulator-generated corpus through the full pipeline ------------------
+// --- Simulator-generated corpus through a pool stream ----------------------
 //
 // The synthetic archives above repeat one hand-built record shape; the
 // scenario engine's corpus has the realistic mix — RIB dumps + updates
@@ -381,66 +382,28 @@ const std::vector<broker::DumpFileMeta>& GetGeneratedCorpus() {
 }
 
 void BM_StreamGeneratedCorpus(benchmark::State& state) {
-  const auto& files = GetGeneratedCorpus();
-  auto open_latency = std::chrono::microseconds(state.range(0));
-  auto batch_latency = std::chrono::microseconds(state.range(1));
-  size_t records = 0, elems = 0;
-  auto wall_start = std::chrono::steady_clock::now();
-  for (auto _ : state) {
-    BatchedDataInterface di(files, 8, batch_latency);
-    core::BgpStream::Options opt;
-    opt.prefetch_subsets = 3;
-    opt.decode_threads = 4;
-    opt.prefetch_batches = true;
-    opt.extract_elems_in_workers = true;
-    opt.max_records_in_flight = 512;
-    if (open_latency.count() > 0) {
-      opt.file_open_hook = [open_latency](const broker::DumpFileMeta&) {
-        std::this_thread::sleep_for(open_latency);
-      };
-    }
-    core::BgpStream stream(std::move(opt));
-    stream.SetInterval(0, 4102444800);
-    stream.SetDataInterface(&di);
-    if (!stream.Start().ok()) std::abort();
-    while (auto rec = stream.NextRecord()) {
-      records += 1;
-      for (const auto& e : stream.Elems(*rec)) {
-        elems += 1;
-        benchmark::DoNotOptimize(e.time);
-      }
-      benchmark::DoNotOptimize(rec->timestamp);
-    }
-  }
-  double wall_seconds = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - wall_start)
-                            .count();
-  state.SetItemsProcessed(int64_t(records));
-  state.counters["records_per_sec_wall"] =
-      wall_seconds > 0 ? double(records) / wall_seconds : 0.0;
-  state.counters["records_per_run"] =
-      double(records) / double(state.iterations());
-  state.counters["elems_per_run"] =
-      double(elems) / double(state.iterations());
+  auto pool = MakeBenchPool(4);
+  core::BgpStream::Options opt;
+  opt.prefetch_subsets = 3;
+  opt.max_records_in_flight = 512;
+  RunStreamBench(state, GetGeneratedCorpus(), 8, pool.get(), opt);
 }
 BGPS_STREAM_BENCH(BM_StreamGeneratedCorpus);
 
-// --- Multi-tenant: shared StreamPool vs private per-stream pipelines ------
+// --- Multi-tenant: one shared StreamPool vs one StreamPool per stream ----
 //
 // Four concurrent streams, each consuming a disjoint quarter of the
 // archive (2 subsets / 8 files) on its own consumer thread, with the
 // same open/batch latency emulation as the single-stream pair:
-//   BM_MultiTenantPrivatePools  4 streams × (1 decode thread + a
-//                               private 128-record chunked budget) —
-//                               the pre-runtime-layer shape, 4 threads
-//                               and 4 budgets total.
+//   BM_MultiTenantPrivatePools  4 streams, each on its own StreamPool
+//                               (1 worker + a 128-record budget) — 4
+//                               threads and 4 budgets total.
 //   BM_MultiTenantSharedPool    one StreamPool: 4 shared Executor
 //                               workers + one 512-record MemoryGovernor
 //                               budget across all tenants.
 // Counters: wall-clock records/s and the peak number of records
-// buffered (governor watermark for the pool; summed per-stream
-// watermarks for the private shape — an *upper bound* that the
-// governor turns into a hard guarantee).
+// buffered (governor watermark for the shared pool; summed per-stream
+// watermarks for the private pools).
 
 constexpr int kTenantCount = 4;
 
@@ -474,19 +437,20 @@ void RunMultiTenantBench(benchmark::State& state, bool shared_pool) {
                                 batch_latency);
         core::BgpStream::Options opt;
         opt.prefetch_subsets = 3;
-        opt.extract_elems_in_workers = true;
-        if (!shared_pool) {
-          opt.decode_threads = 1;
-          opt.max_records_in_flight = 512 / kTenantCount;
-        }
         if (open_latency.count() > 0) {
           opt.file_open_hook = [open_latency](const broker::DumpFileMeta&) {
             std::this_thread::sleep_for(open_latency);
           };
         }
+        std::unique_ptr<StreamPool> own_pool;
+        if (!shared_pool) {
+          auto created = StreamPool::Create(
+              {.threads = 1, .record_budget = 512 / kTenantCount});
+          if (!created.ok()) std::abort();
+          own_pool = std::move(*created);
+        }
         std::unique_ptr<core::BgpStream> stream =
-            pool ? pool->CreateStream(std::move(opt))
-                 : std::make_unique<core::BgpStream>(std::move(opt));
+            (pool ? pool : own_pool)->CreateStream(std::move(opt));
         stream->SetInterval(0, 4102444800);
         stream->SetDataInterface(&di);
         if (!stream->Start().ok()) std::abort();
@@ -574,7 +538,6 @@ void RunWeightedTenantBench(benchmark::State& state, size_t live_weight) {
                                 batch_latency);
         core::BgpStream::Options opt;
         opt.prefetch_subsets = 3;
-        opt.extract_elems_in_workers = true;
         if (open_latency.count() > 0) {
           opt.file_open_hook = [open_latency](const broker::DumpFileMeta&) {
             std::this_thread::sleep_for(open_latency);
@@ -692,7 +655,6 @@ void RunDeadlineTenantBench(benchmark::State& state, bool deadline) {
                                 batch_latency);
         core::BgpStream::Options opt;
         opt.prefetch_subsets = 2;
-        opt.extract_elems_in_workers = true;
         // While this consumer is blocked in NextRecord, holds the pop's
         // start tick (steady-clock ticks since epoch); 0 otherwise. The
         // open hook reads it to measure how long a blocked live consumer

@@ -177,40 +177,4 @@ std::optional<Record> DumpReader::Next() {
   return out;
 }
 
-void AttachPrefetchedElems(Record& rec, const DumpDecodeOptions& opt,
-                           ElemArena* arena) {
-  if (!opt.extract_elems) return;
-  // Records the record-level filters will drop never reach Elems();
-  // don't pay for their decomposition.
-  if (opt.filters != nullptr && !opt.filters->MatchesRecord(rec)) return;
-  std::vector<Elem> elems = arena ? arena->NewVector() : std::vector<Elem>();
-  ExtractElemsInto(rec, elems);
-  // Note the pre-filter count: that is what NewVector's reserve must
-  // cover, since extraction happens before the elem filters prune.
-  if (arena) arena->Note(elems.size());
-  if (opt.filters != nullptr) opt.filters->FilterElemsInPlace(elems);
-  rec.prefetched_elems = std::move(elems);
-}
-
-DecodedDump DecodeDumpFile(const broker::DumpFileMeta& meta,
-                           const DumpDecodeOptions& opt) {
-  if (opt.file_open_hook) opt.file_open_hook(meta);
-  DecodedDump out;
-  out.meta = meta;
-  DumpReader reader(meta);
-  ElemArena arena;
-  while (auto rec = reader.Next()) {
-    AttachPrefetchedElems(*rec, opt, &arena);
-    out.records.push_back(std::move(*rec));
-  }
-  return out;
-}
-
-DecodedDump DecodeDumpFile(const broker::DumpFileMeta& meta,
-                           const FileOpenHook& hook) {
-  DumpDecodeOptions opt;
-  opt.file_open_hook = hook;
-  return DecodeDumpFile(meta, opt);
-}
-
 }  // namespace bgps::core

@@ -13,7 +13,6 @@
 #include <memory>
 
 #include "core/arena.hpp"
-#include "core/filter.hpp"
 #include "core/record.hpp"
 #include "mrt/file.hpp"
 
@@ -120,75 +119,5 @@ class DumpReader {
   bool open_failed_ = false;
   bool emitted_open_failure_ = false;
 };
-
-// One dump file fully decoded into memory: the output unit of the
-// asynchronous prefetching decode stage. Records are in file order
-// (timestamp-monotonic within a well-formed dump).
-struct DecodedDump {
-  broker::DumpFileMeta meta;
-  std::vector<Record> records;
-};
-
-// How records are produced on a decoding thread — shared by the
-// whole-file (DecodeDumpFile) and chunked (PrefetchDecoder) paths.
-struct DumpDecodeOptions {
-  // Invoked just before the dump file is opened.
-  FileOpenHook file_open_hook;
-  // Pre-extract elems on the decoding thread and stash them in
-  // Record::prefetched_elems, so the consumer's Elems() call is a move.
-  bool extract_elems = false;
-  // Stream filters consulted during worker-side extraction (may be null
-  // = keep all elems): records the record-level filters will discard
-  // are skipped entirely, and the elem-level filters are applied to the
-  // rest. Must outlive the decode and must not be mutated while
-  // decoding runs; BgpStream guarantees both (filters are frozen at
-  // Start()).
-  const FilterSet* filters = nullptr;
-};
-
-// Flat elem arena for worker-side extraction: one per decode task (a
-// whole-file decode or a chunked per-file stream). It primes each
-// record's `prefetched_elems` vector with a capacity predicted from the
-// decode-time elem counts seen so far in the same dump, so worker
-// threads do one exact-size allocation per record instead of a
-// growth-doubling sequence — cutting allocator traffic on the shared
-// Executor. Not thread-safe: owned by the single task decoding a file.
-class ElemArena {
- public:
-  // An empty vector whose capacity is primed to the running mean elem
-  // count (rounded up) of the records observed so far.
-  std::vector<Elem> NewVector() {
-    std::vector<Elem> v;
-    if (records_ > 0) v.reserve((elems_ + records_ - 1) / records_);
-    return v;
-  }
-
-  // Records the extraction (pre-filter) elem count of a filled vector —
-  // the size the next reserve has to cover.
-  void Note(size_t elems) {
-    elems_ += elems;
-    ++records_;
-  }
-
- private:
-  size_t elems_ = 0;
-  size_t records_ = 0;
-};
-
-// Runs worker-side elem extraction + filtering on one record in place,
-// per `opt`. No-op unless opt.extract_elems. `arena`, when given,
-// primes and observes the per-record vector capacity.
-void AttachPrefetchedElems(Record& rec, const DumpDecodeOptions& opt,
-                           ElemArena* arena = nullptr);
-
-// Opens and fully decodes `meta` (calling opt.file_open_hook first, if
-// set). Produces exactly the record sequence a DumpReader would stream,
-// including the Corrupted*/Unsupported records and Start/End positions.
-DecodedDump DecodeDumpFile(const broker::DumpFileMeta& meta,
-                           const DumpDecodeOptions& opt = {});
-
-// Back-compat convenience overload (hook only).
-DecodedDump DecodeDumpFile(const broker::DumpFileMeta& meta,
-                           const FileOpenHook& hook);
 
 }  // namespace bgps::core

@@ -50,9 +50,9 @@ struct Elem {
 // peer references). Invalid records produce no elems.
 std::vector<Elem> ExtractElems(const Record& record);
 
-// Appends the record's elems to `out` without clearing it. Lets decode
-// workers extract into capacity-primed vectors (see ElemArena in
-// core/dump_reader.hpp) instead of growing a fresh one per record.
+// Appends the record's elems to `out` without clearing it, so a caller
+// can reuse one vector across records instead of growing a fresh one
+// per record.
 void ExtractElemsInto(const Record& record, std::vector<Elem>& out);
 
 }  // namespace bgps::core

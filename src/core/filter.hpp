@@ -97,14 +97,12 @@ class FilterSet {
 
   // Keeps the elems passing MatchesElem (everything if no elem-level
   // filter is configured). The single filtering implementation shared
-  // by inline extraction (BgpStream::Elems) and worker-side extraction
-  // (AttachPrefetchedElems) — the pipeline equivalence guarantee
-  // depends on both using exactly this.
+  // by BgpStream::Elems and the fan-out subscriber — the equivalence
+  // guarantee depends on both using exactly this.
   std::vector<Elem> FilterElems(std::vector<Elem> elems) const;
 
   // In-place variant (same predicate): erases the elems failing
-  // MatchesElem without allocating a second vector — the decode workers
-  // filter arena-primed vectors with this.
+  // MatchesElem without allocating a second vector.
   void FilterElemsInPlace(std::vector<Elem>& elems) const;
 
   // True if any elem-level filter is configured (lets hot paths skip

@@ -1,13 +1,12 @@
 // Global record-budget ledger (runtime layer).
 //
-// Chunked decode bounds how many records sit in RAM, but the PR-2
-// implementation split one per-stream bound evenly across a subset's
-// files — each stream (and each in-flight subset) budgeted for its own
-// worst case, so N tenants meant N× worst-case memory. MemoryGovernor
-// replaces the even split with demand-driven leases against one hard
-// process-wide cap: a slot is charged when a record is buffered and
-// released when the consumer drains it, wherever in the process that
-// happens.
+// Chunked decode bounds how many records sit in RAM, but a per-stream
+// bound split evenly across a subset's files budgets each stream (and
+// each in-flight subset) for its own worst case, so N tenants would
+// mean N× worst-case memory. MemoryGovernor adds demand-driven leases
+// against one hard process-wide cap: a slot is charged when a record is
+// buffered and released when the consumer drains it, wherever in the
+// process that happens.
 //
 // Fairness: blocked Acquire() demands are served strictly FIFO — a
 // large demand (the floor reservation for a ~500-file RIB subset)

@@ -47,30 +47,7 @@ class StreamingSource : public RecordSource {
   DumpReader reader_;
 };
 
-// Walks an in-memory batch decoded ahead of time by the prefetch stage.
-class DecodedSource : public RecordSource {
- public:
-  explicit DecodedSource(DecodedDump dump) : dump_(std::move(dump)) {}
-  const broker::DumpFileMeta& meta() const override { return dump_.meta; }
-  std::optional<Timestamp> PeekTimestamp() override {
-    if (next_ >= dump_.records.size()) return std::nullopt;
-    return dump_.records[next_].timestamp;
-  }
-  std::optional<Record> Next() override {
-    if (next_ >= dump_.records.size()) return std::nullopt;
-    return std::move(dump_.records[next_++]);
-  }
-
- private:
-  DecodedDump dump_;
-  size_t next_ = 0;
-};
-
 }  // namespace
-
-std::unique_ptr<RecordSource> MakeDecodedSource(DecodedDump dump) {
-  return std::make_unique<DecodedSource>(std::move(dump));
-}
 
 MultiWayMerge::MultiWayMerge(const std::vector<broker::DumpFileMeta>& files,
                              const FileOpenHook& hook) {
@@ -78,14 +55,6 @@ MultiWayMerge::MultiWayMerge(const std::vector<broker::DumpFileMeta>& files,
   for (const auto& f : files) {
     if (hook) hook(f);
     sources_.push_back(std::make_unique<StreamingSource>(f));
-    Push(sources_.size() - 1);
-  }
-}
-
-MultiWayMerge::MultiWayMerge(std::vector<DecodedDump> dumps) {
-  sources_.reserve(dumps.size());
-  for (auto& d : dumps) {
-    sources_.push_back(std::make_unique<DecodedSource>(std::move(d)));
     Push(sources_.size() - 1);
   }
 }

@@ -23,8 +23,8 @@ std::vector<std::vector<broker::DumpFileMeta>> GroupOverlapping(
     std::vector<broker::DumpFileMeta> files);
 
 // A per-file record cursor the merge pulls from: either a streaming
-// DumpReader (synchronous path) or an in-memory DecodedDump produced by
-// the prefetching decode stage. Both yield the identical record sequence.
+// DumpReader (synchronous path) or a bounded buffer the prefetching
+// decode stage keeps filling. Both yield the identical record sequence.
 class RecordSource {
  public:
   virtual ~RecordSource() = default;
@@ -32,10 +32,6 @@ class RecordSource {
   virtual std::optional<Timestamp> PeekTimestamp() = 0;
   virtual std::optional<Record> Next() = 0;
 };
-
-// Wraps a fully-materialized DecodedDump as a RecordSource (the whole-file
-// output of the prefetch stage).
-std::unique_ptr<RecordSource> MakeDecodedSource(DecodedDump dump);
 
 // Multi-way merge over one subset: opens all files simultaneously and
 // repeatedly extracts the oldest record (Figure 3).
@@ -46,13 +42,10 @@ class MultiWayMerge {
   explicit MultiWayMerge(const std::vector<broker::DumpFileMeta>& files,
                          const FileOpenHook& hook = nullptr);
 
-  // Prefetched path: merges batches already decoded by worker threads.
-  explicit MultiWayMerge(std::vector<DecodedDump> dumps);
-
-  // Generic path: merges any record sources (the prefetch stage hands
-  // back DecodedSources or live chunked sources in submitted-file order,
-  // so tie-breaks match the streaming path). May block in PeekTimestamp
-  // until each source has its first record available.
+  // Prefetched path: merges any record sources (the prefetch stage
+  // hands back its live sources in submitted-file order, so tie-breaks
+  // match the streaming path). May block in PeekTimestamp until each
+  // source has its first record available.
   explicit MultiWayMerge(std::vector<std::unique_ptr<RecordSource>> sources);
 
   // Next record in timestamp order; nullopt when all files are drained.

@@ -92,31 +92,27 @@ void PrefetchDecoder::ScheduleFill(const std::shared_ptr<State>& st,
 
 PrefetchDecoder::PrefetchDecoder(Options options)
     : options_(std::move(options)), state_(std::make_shared<State>()) {
-  state_->decode = options_.decode;
+  state_->file_open_hook = options_.file_open_hook;
   state_->governor = options_.governor;
-  executor_ = options_.executor;
-  if (!executor_) {
-    Executor::Options eopt;
-    eopt.threads = std::max<size_t>(1, options_.threads);
-    executor_ = std::make_shared<Executor>(eopt);
+  if (options_.max_records_in_flight == 0) {
+    options_.max_records_in_flight = options_.governor->capacity();
   }
-  tenant_ = executor_->CreateTenant(
+  tenant_ = options_.executor->CreateTenant(
       {.weight = std::max<size_t>(1, options_.tenant_weight),
        .deadline = options_.tenant_deadline});
   state_->tenant = tenant_.get();
-  if (options_.idle_reclaim_rounds > 0 && options_.max_records_in_flight > 0) {
+  if (options_.idle_reclaim_rounds > 0) {
     // Invoked by a worker with no executor lock held; takes State::mu.
     tenant_->SetIdleReclaim(options_.idle_reclaim_rounds,
                             [st = state_] { ReclaimIdle(st); });
-    if (options_.governor) {
-      // Wire the waiter-driven reclaim trigger, so the executor+governor
-      // embedding works without a StreamPool. The registry pools the
-      // hook per (governor, executor) pair: K decoders on one shared
-      // executor hold K Shares of ONE hook, so a contention re-signal
-      // fires one RequestReclaimTick instead of K redundant ones and
-      // the governor's hook list stays flat under stream churn.
-      tick_share_ = ReclaimTickRegistry::Acquire(options_.governor, executor_);
-    }
+    // Wire the waiter-driven reclaim trigger, so the executor+governor
+    // embedding works without a StreamPool. The registry pools the hook
+    // per (governor, executor) pair: K decoders on one shared executor
+    // hold K Shares of ONE hook, so a contention re-signal fires one
+    // RequestReclaimTick instead of K redundant ones and the governor's
+    // hook list stays flat under stream churn.
+    tick_share_ =
+        ReclaimTickRegistry::Acquire(options_.governor, options_.executor);
   }
 }
 
@@ -136,110 +132,68 @@ PrefetchDecoder::~PrefetchDecoder() {
     state_->tenant = nullptr;
   }
   tenant_.reset();
-  // Truncate still-undone chunked files so sources that outlive the
-  // decoder drain their buffers and then end instead of hanging, and
-  // hand every governor slot back to the global budget.
+  // Truncate still-undone files so sources that outlive the decoder
+  // drain their buffers and then end instead of hanging, and hand every
+  // governor slot back to the global budget.
   std::lock_guard<std::mutex> lock(state_->mu);
-  auto truncate = [this](ChunkedFile& cf) {
-    cf.done = true;
-    if (state_->governor && cf.slots > 0) {
-      state_->governor->Release(cf.slots);
-      cf.slots = 0;
+  for (const auto* subsets : {&state_->queued, &state_->active}) {
+    for (const Subset& subset : *subsets) {
+      for (const auto& cf : subset) {
+        cf->done = true;
+        if (cf->slots > 0) {
+          state_->governor->Release(cf->slots);
+          cf->slots = 0;
+        }
+      }
     }
-  };
-  for (auto& job : state_->jobs) {
-    for (auto& cf : job->chunks) truncate(*cf);
-  }
-  for (auto& subset : state_->active) {
-    for (auto& cf : subset) truncate(*cf);
   }
   state_->chunk_cv.notify_all();
 }
 
 void PrefetchDecoder::Submit(std::vector<broker::DumpFileMeta> subset) {
-  auto job = std::make_shared<Job>();
-  if (options_.max_records_in_flight > 0) {
-    job->chunked = true;
-    size_t cap = std::max<size_t>(
-        1, options_.max_records_in_flight / std::max<size_t>(1, subset.size()));
-    job->chunks.reserve(subset.size());
-    for (auto& f : subset) {
-      auto cf = std::make_shared<ChunkedFile>();
-      cf->meta = std::move(f);
-      cf->capacity = cap;
-      // The caller acquired one floor slot per file (see Options::
-      // governor contract); the decoder owns them from here on.
-      if (options_.governor) cf->slots = 1;
-      job->chunks.push_back(std::move(cf));
-    }
-  } else {
-    job->dumps.resize(subset.size());
-    job->files = std::move(subset);
+  size_t cap = std::max<size_t>(
+      1, options_.max_records_in_flight / std::max<size_t>(1, subset.size()));
+  Subset files;
+  files.reserve(subset.size());
+  for (auto& f : subset) {
+    auto cf = std::make_shared<ChunkedFile>();
+    cf->meta = std::move(f);
+    cf->capacity = cap;
+    // The caller acquired one floor slot per file (see Options::governor
+    // contract); the decoder owns them from here on.
+    cf->slots = 1;
+    files.push_back(std::move(cf));
   }
   std::lock_guard<std::mutex> lock(state_->mu);
   PruneActiveLocked(*state_);
-  state_->jobs.push_back(job);
-  if (job->chunked) {
-    for (auto& cf : job->chunks) ScheduleFill(state_, cf, /*urgent=*/false);
-    return;
-  }
-  for (size_t idx = 0; idx < job->files.size(); ++idx) {
-    if (state_->tenant == nullptr) break;
-    state_->tenant->Submit([st = state_, job, idx] {
-      DecodedDump dump = DecodeDumpFile(job->files[idx], st->decode);
-      std::lock_guard<std::mutex> lock(st->mu);
-      job->dumps[idx] = std::move(dump);
-      ++job->decoded;
-      ++st->files_decoded;
-      if (job->decoded == job->files.size()) st->done_cv.notify_all();
-    });
-  }
+  for (auto& cf : files) ScheduleFill(state_, cf, /*urgent=*/false);
+  state_->queued.push_back(std::move(files));
 }
 
-std::vector<DecodedDump> PrefetchDecoder::WaitNext() {
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->done_cv.wait(lock, [this] {
-    return !state_->jobs.empty() && !state_->jobs.front()->chunked &&
-           state_->jobs.front()->decoded == state_->jobs.front()->files.size();
-  });
-  auto job = state_->jobs.front();
-  state_->jobs.pop_front();
-  return std::move(job->dumps);
-}
-
-std::vector<std::unique_ptr<RecordSource>>
-PrefetchDecoder::WaitNextSources() {
-  std::unique_lock<std::mutex> lock(state_->mu);
-  if (state_->jobs.empty()) return {};
-  auto job = state_->jobs.front();
+std::vector<std::unique_ptr<RecordSource>> PrefetchDecoder::NextSources() {
+  std::lock_guard<std::mutex> lock(state_->mu);
+  if (state_->queued.empty()) return {};
+  Subset subset = std::move(state_->queued.front());
+  state_->queued.pop_front();
   std::vector<std::unique_ptr<RecordSource>> out;
-  if (job->chunked) {
-    state_->jobs.pop_front();
-    state_->active.push_back(job->chunks);
-    PruneActiveLocked(*state_);
-    out.reserve(job->chunks.size());
-    for (auto& cf : job->chunks) {
-      out.push_back(std::make_unique<ChunkedSource>(state_, cf));
-    }
-    return out;
+  out.reserve(subset.size());
+  for (auto& cf : subset) {
+    out.push_back(std::make_unique<ChunkedSource>(state_, cf));
   }
-  state_->done_cv.wait(
-      lock, [&] { return job->decoded == job->files.size(); });
-  state_->jobs.pop_front();
-  out.reserve(job->dumps.size());
-  for (auto& d : job->dumps) out.push_back(MakeDecodedSource(std::move(d)));
+  state_->active.push_back(std::move(subset));
+  PruneActiveLocked(*state_);
   return out;
 }
 
 size_t PrefetchDecoder::outstanding() const {
   std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->jobs.size();
+  return state_->queued.size();
 }
 
 size_t PrefetchDecoder::in_flight() const {
   std::lock_guard<std::mutex> lock(state_->mu);
-  size_t n = state_->jobs.size();
-  for (const auto& subset : state_->active) {
+  size_t n = state_->queued.size();
+  for (const Subset& subset : state_->active) {
     if (SubsetLive(subset)) ++n;
   }
   return n;
@@ -283,8 +237,7 @@ size_t PrefetchDecoder::tenant_tasks_run() const {
   return tenant_ ? tenant_->tasks_run() : 0;
 }
 
-bool PrefetchDecoder::SubsetLive(
-    const std::vector<std::shared_ptr<ChunkedFile>>& subset) {
+bool PrefetchDecoder::SubsetLive(const Subset& subset) {
   // Buffered records count even after EOF: the prefetch_subsets memory
   // bound must not admit an extra subset while buffers are still full.
   for (const auto& cf : subset) {
@@ -311,52 +264,48 @@ void PrefetchDecoder::ReclaimIdle(const std::shared_ptr<State>& st) {
   // fires idle_reclaim_rounds later and catches it, instead of the
   // tenant pinning those buffers until the consumer resumes.
   bool skipped_busy = false;
-  auto reclaim_subset =
-      [&](const std::vector<std::shared_ptr<ChunkedFile>>& subset) {
-        for (const auto& cf : subset) {
-          if (cf->abandoned) continue;
-          if (cf->claimed) {
-            skipped_busy = true;
-            continue;
-          }
-          // Quiescent = no fill task in flight and records parked in
-          // the buffer.
-          if (cf->buffer.empty()) continue;
-          // The front buffered record is exactly where resume must
-          // restart: remember its checkpoint so the refill seeks there
-          // in O(1) instead of re-framing `consumed` records.
-          cf->resume_cp = cf->buffer_cps.front();
-          st->buffered -= cf->buffer.size();
-          cf->buffer.clear();
-          cf->buffer_cps.clear();
-          cf->reader.reset();  // position is lost; resume_cp restores it
-          if (cf->done) {
-            // The records still owed to the consumer must be re-decoded,
-            // so the file is no longer "decoded".
-            cf->done = false;
-            if (st->files_decoded > 0) --st->files_decoded;
-          }
-          cf->reclaimed = true;
-          ++st->reclaims;
-          // Full release: the floor slot goes back to the budget too.
-          // Keeping it (the pre-fix behavior) leaked one slot per file
-          // of every reclaimed-and-never-resumed tenant — a dead
-          // stream's floors stayed leased forever, silently shrinking
-          // the shared budget. The resume fill re-acquires its floor
-          // through the governor's fair FIFO Acquire instead (see
-          // FillChunked), which can never be starved and whose blocked
-          // wait runs reclaim passes inline.
-          ReleaseSlotsLocked(*st, *cf);
-          if (st->governor && cf->slots > 0) {
-            st->governor->Release(cf->slots);
-            cf->slots = 0;
-          }
-        }
-      };
-  for (const auto& job : st->jobs) {
-    if (job->chunked) reclaim_subset(job->chunks);
-  }
-  for (const auto& subset : st->active) reclaim_subset(subset);
+  auto reclaim_subset = [&](const Subset& subset) {
+    for (const auto& cf : subset) {
+      if (cf->abandoned) continue;
+      if (cf->claimed) {
+        skipped_busy = true;
+        continue;
+      }
+      // Quiescent = no fill task in flight and records parked in
+      // the buffer.
+      if (cf->buffer.empty()) continue;
+      // The front buffered record is exactly where resume must
+      // restart: remember its checkpoint so the refill seeks there
+      // in O(1) instead of re-framing `consumed` records.
+      cf->resume_cp = cf->buffer_cps.front();
+      st->buffered -= cf->buffer.size();
+      cf->buffer.clear();
+      cf->buffer_cps.clear();
+      cf->reader.reset();  // position is lost; resume_cp restores it
+      if (cf->done) {
+        // The records still owed to the consumer must be re-decoded,
+        // so the file is no longer "decoded".
+        cf->done = false;
+        if (st->files_decoded > 0) --st->files_decoded;
+      }
+      cf->reclaimed = true;
+      ++st->reclaims;
+      // Full release: the floor slot goes back to the budget too.
+      // Keeping it (the pre-fix behavior) leaked one slot per file
+      // of every reclaimed-and-never-resumed tenant — a dead
+      // stream's floors stayed leased forever, silently shrinking
+      // the shared budget. The resume fill re-acquires its floor
+      // through the governor's fair FIFO Acquire instead (see
+      // FillChunked), which can never be starved and whose blocked
+      // wait runs reclaim passes inline.
+      if (cf->slots > 0) {
+        st->governor->Release(cf->slots);
+        cf->slots = 0;
+      }
+    }
+  };
+  for (const Subset& subset : st->queued) reclaim_subset(subset);
+  for (const Subset& subset : st->active) reclaim_subset(subset);
   // No explicit retry is needed for the skipped files: the contention
   // that fired this pass keeps re-signalling while it stays blocked
   // (and a busy pool's round clock keeps advancing), so the next pass
@@ -365,7 +314,7 @@ void PrefetchDecoder::ReclaimIdle(const std::shared_ptr<State>& st) {
 }
 
 void PrefetchDecoder::ReleaseSlotsLocked(State& st, ChunkedFile& cf) {
-  if (!st.governor || cf.slots == 0) return;
+  if (cf.slots == 0) return;
   // A completed-and-drained (or abandoned) file needs nothing; a live
   // one needs one slot per buffered record (plus one for a record the
   // fill task is decoding right now) and its floor.
@@ -402,7 +351,7 @@ void PrefetchDecoder::FillChunked(const std::shared_ptr<State>& st,
     // inline (see Executor::RequestReclaimTick), so budget parked on
     // other idle tenants is peeled loose even when every worker is
     // blocked here.
-    bool need_floor = st->governor != nullptr && cf.slots == 0;
+    bool need_floor = cf.slots == 0;
     lock.unlock();
     bool floor_acquired = false;
     if (need_floor) floor_acquired = st->governor->Acquire(1).ok();
@@ -414,7 +363,7 @@ void PrefetchDecoder::FillChunked(const std::shared_ptr<State>& st,
       // stream surfaces the latched governor health as its status.
       exhausted = false;
     } else {
-      if (st->decode.file_open_hook) st->decode.file_open_hook(meta);
+      if (st->file_open_hook) st->file_open_hook(meta);
       if (resuming && resume_cp.valid) {
         // Resuming after an idle reclaim: seek straight to the first
         // dropped record's checkpoint — O(1), the consumed prefix is
@@ -472,14 +421,13 @@ void PrefetchDecoder::FillChunked(const std::shared_ptr<State>& st,
     // record rides on the file's floor slot; extras are opportunistic
     // (TryAcquire never blocks the shared Executor) — when the global
     // budget is spent, stop filling; consumer pops re-schedule us.
-    if (st->governor && cf.buffer.size() + 1 > cf.slots) {
+    if (cf.buffer.size() + 1 > cf.slots) {
       if (!st->governor->TryAcquire(1)) break;
       ++cf.slots;
     }
     cf.decoding = 1;  // the lease above covers the record decoded next
     lock.unlock();
     std::optional<Record> rec = cf.reader->Next();
-    if (rec) AttachPrefetchedElems(*rec, st->decode, &cf.arena);
     lock.lock();
     // Holding the lock through the push below: no pop can interleave
     // between clearing the in-flight mark and the slot becoming a

@@ -6,39 +6,25 @@
 // of retrieval latency (in the paper's deployment the dumps stream over
 // HTTP from the RouteViews / RIPE RIS archives) stalls the consumer.
 //
-// PrefetchDecoder schedules open+decode as tasks on a core::Executor
-// that run ahead of the consumer: while the application merges
-// overlapping-subset N, decode tasks are already opening and decoding
-// the files of subsets N+1..N+depth, handed back through an
-// order-preserving queue. BgpStream bounds how many subsets are in
-// flight (Options::prefetch_subsets), which bounds memory.
+// PrefetchDecoder schedules open+decode as tasks on a shared
+// core::Executor that run ahead of the consumer: while the application
+// merges overlapping-subset N, decode tasks are already opening and
+// decoding the files of subsets N+1..N+depth. BgpStream bounds how many
+// subsets are in flight (Options::prefetch_subsets).
 //
-// The decoder is one *tenant* of its Executor. By default it creates a
-// private Executor (Options::threads workers) and behaves exactly like
-// a dedicated pool; inject a shared Executor (Options::executor, via
-// bgps::StreamPool) and many concurrent streams decode on one
-// process-wide pool, each with a FIFO queue dispatched round-robin so a
-// heavy stream cannot starve the others.
+// The decoder is one *tenant* of the Executor (normally injected by
+// bgps::StreamPool): many concurrent streams decode on one process-wide
+// pool, each with a FIFO queue dispatched round-robin so a heavy stream
+// cannot starve the others.
 //
-// Two decode modes (Options::max_records_in_flight):
-//  * whole-file (0, default): each file is fully materialized into a
-//    DecodedDump before the subset is handed to the consumer. Lowest
-//    synchronization cost; memory is O(records per subset).
-//  * chunked (> 0): each file streams through a bounded per-file record
-//    buffer that decode tasks keep topped up while the consumer merges,
-//    so a ~500-file RIB subset (paper §3.3.4) never holds more than
-//    max_records_in_flight records in RAM per in-flight subset.
-//
-// Chunked buffering can additionally be governed by a process-wide
-// MemoryGovernor (Options::governor): each buffered record then leases
-// one slot from the global budget — a floor slot per file (acquired by
-// the caller before Submit, ownership passes to the decoder) plus
-// demand-driven extras the fill tasks TryAcquire (never blocking the
-// shared Executor). Slots release as the consumer drains.
-//
-// The decode tasks can also pre-extract (and elem-filter) elems into
-// Record::prefetched_elems (Options::decode.extract_elems), moving the
-// §3.3.3 decomposition off the consumer thread too.
+// Each file streams through a bounded per-file record buffer that decode
+// tasks keep topped up while the consumer merges, so a ~500-file RIB
+// subset (paper §3.3.4) never materializes whole files in RAM. Every
+// buffered record leases one slot from the process-wide MemoryGovernor:
+// a floor slot per file (acquired by the caller before Submit, ownership
+// passes to the decoder) plus demand-driven extras the fill tasks
+// TryAcquire (never blocking the shared Executor). Slots release as the
+// consumer drains.
 //
 // Idle-tenant reclaim (Options::idle_reclaim_rounds): a paused consumer
 // would otherwise park its chunked buffers — and their governor leases
@@ -61,10 +47,10 @@
 // never-reclaimed run without re-reading the consumed prefix of a
 // large dump.
 //
-// Ordering guarantee: WaitNextSources() returns subsets in Submit()
-// order, and within a subset sources preserve the submitted file order,
-// so a MultiWayMerge built from them breaks ties exactly like the
-// synchronous path and all paths emit identical record sequences.
+// Ordering guarantee: NextSources() returns subsets in Submit() order,
+// and within a subset sources preserve the submitted file order, so a
+// MultiWayMerge built from them breaks ties exactly like the
+// synchronous path and both paths emit identical record sequences.
 #pragma once
 
 #include <condition_variable>
@@ -81,21 +67,17 @@ namespace bgps::core {
 class PrefetchDecoder {
  public:
   struct Options {
-    // Private-executor size (clamped to >= 1). Ignored when a shared
-    // executor is injected below.
-    size_t threads = 2;
-    // Shared process-wide decode pool (see bgps::StreamPool). Null =
-    // create a private Executor with `threads` workers.
+    // Shared decode pool (see bgps::StreamPool). Required.
     std::shared_ptr<Executor> executor;
-    // Global record-budget ledger for chunked buffers. Null = only the
-    // per-subset split below bounds memory. Contract: when set, the
-    // caller must Acquire(subset.size()) floor slots before each
-    // chunked Submit; the decoder takes ownership and releases them.
+    // Global record-budget ledger for the chunked buffers. Required.
+    // Contract: the caller must Acquire(subset.size()) floor slots
+    // before each Submit; the decoder takes ownership and releases them.
     std::shared_ptr<MemoryGovernor> governor;
-    DumpDecodeOptions decode;  // open hook + worker-side elem extraction
-    // Chunked decode: cap on records buffered in RAM per in-flight
-    // subset, split evenly across its files (floor of one record per
-    // file). 0 = whole-file materialization.
+    // Invoked on the decoding thread just before each dump file opens.
+    FileOpenHook file_open_hook;
+    // Cap on records buffered in RAM per in-flight subset, split evenly
+    // across its files (floor of one record per file). 0 = the
+    // governor's capacity.
     size_t max_records_in_flight = 0;
     // Scheduling weight of this decoder's tenant queue: tasks drained
     // per dispatch visit relative to other tenants (clamped to >= 1).
@@ -106,9 +88,9 @@ class PrefetchDecoder {
     // cursor position. See Executor::TenantOptions::deadline.
     bool tenant_deadline = false;
     // Idle-tenant reclaim: when the consumer has not drained a record
-    // for this many executor dispatch rounds, drop the chunked buffers
-    // (keeping one governor floor slot per file) and re-decode on
-    // resume. 0 = never reclaim. Chunked mode only.
+    // for this many executor dispatch rounds, drop the buffered records
+    // (releasing their governor leases) and re-decode on resume.
+    // 0 = never reclaim.
     size_t idle_reclaim_rounds = 0;
   };
 
@@ -127,40 +109,33 @@ class PrefetchDecoder {
   // caller (BgpStream) bounds the number of subsets in flight.
   void Submit(std::vector<broker::DumpFileMeta> subset);
 
-  // Blocks until the oldest submitted subset is fully decoded and
-  // returns it (FIFO: results come back in Submit order regardless of
-  // which task finished first). Whole-file mode only. Precondition:
-  // outstanding() > 0.
-  std::vector<DecodedDump> WaitNext();
+  // Record sources for the oldest submitted subset, in file order
+  // (FIFO: subsets come back in Submit order). Returns immediately with
+  // live sources the decode tasks keep filling; their Peek/Next block
+  // until a record or end-of-file. Precondition: outstanding() > 0.
+  std::vector<std::unique_ptr<RecordSource>> NextSources();
 
-  // Mode-independent hand-off: record sources for the oldest submitted
-  // subset, in file order. Whole-file mode blocks until the subset is
-  // fully decoded; chunked mode returns immediately with live sources
-  // the decode tasks keep filling (their Peek/Next block until a record
-  // or end-of-file). Precondition: outstanding() > 0.
-  std::vector<std::unique_ptr<RecordSource>> WaitNextSources();
-
-  // Subsets submitted but not yet returned by WaitNext*().
+  // Subsets submitted but not yet returned by NextSources().
   size_t outstanding() const;
 
-  // Subsets still holding decode resources: queued ones plus (chunked
-  // mode) handed-out subsets whose files are not fully drained yet.
-  // BgpStream bounds this by Options::prefetch_subsets.
+  // Subsets still holding decode resources: queued ones plus handed-out
+  // subsets whose files are not fully drained yet. BgpStream bounds
+  // this by Options::prefetch_subsets.
   size_t in_flight() const;
 
   // Dump files decoded so far (stats for tests/benches).
   size_t files_decoded() const;
 
-  // High watermark of records simultaneously buffered by chunked decode
-  // (0 in whole-file mode). Proves the memory bound in tests.
+  // High watermark of records simultaneously buffered. Proves the
+  // memory bound in tests.
   size_t max_buffered_records() const;
 
-  // Records currently sitting in chunked buffers (0 in whole-file
-  // mode). Stats for StreamPool introspection.
+  // Records currently sitting in the per-file buffers. Stats for
+  // StreamPool introspection.
   size_t buffered_records() const;
 
-  // Chunked files whose undrained buffers were dropped by idle-tenant
-  // reclaim so far (each is re-decoded on resume).
+  // Files whose undrained buffers were dropped by idle-tenant reclaim
+  // so far (each is re-decoded on resume).
   size_t reclaims() const;
 
   // Reclaimed files resumed by seeking straight to the stored
@@ -179,9 +154,9 @@ class PrefetchDecoder {
   size_t tenant_tasks_run() const;
 
  private:
-  // One file streaming through a bounded buffer (chunked mode). All
-  // fields are guarded by State::mu except reader and arena *while
-  // claimed*, which the claiming task uses with the lock released.
+  // One file streaming through a bounded buffer. All fields are guarded
+  // by State::mu except reader *while claimed*, which the claiming task
+  // uses with the lock released.
   struct ChunkedFile {
     broker::DumpFileMeta meta;
     size_t capacity = 1;
@@ -190,7 +165,6 @@ class PrefetchDecoder {
     // the front entry is where a reclaim's resume must restart.
     std::deque<DumpReader::Checkpoint> buffer_cps;
     std::unique_ptr<DumpReader> reader;  // created by the first filler
-    ElemArena arena;         // primes prefetched_elems reserves
     size_t slots = 0;        // governor slots held (floor + extras)
     // 1 while the fill task decodes a record with the lock released and
     // a slot already leased for it; keeps concurrent consumer pops from
@@ -210,35 +184,27 @@ class PrefetchDecoder {
     bool reclaimed = false;
   };
 
-  struct Job {
-    bool chunked = false;
-    // Whole-file mode:
-    std::vector<broker::DumpFileMeta> files;
-    std::vector<DecodedDump> dumps;  // slot per file, filled by tasks
-    size_t decoded = 0;              // slots filled
-    // Chunked mode:
-    std::vector<std::shared_ptr<ChunkedFile>> chunks;
-  };
+  // One submitted subset's files, in file order.
+  using Subset = std::vector<std::shared_ptr<ChunkedFile>>;
 
   // Shared between the facade, the decode tasks, and any ChunkedSources
   // still held by a MultiWayMerge — shared_ptr-owned so sources stay
   // valid no matter the destruction order.
   struct State {
-    DumpDecodeOptions decode;
+    FileOpenHook file_open_hook;
     std::shared_ptr<MemoryGovernor> governor;
     mutable std::mutex mu;
-    std::condition_variable done_cv;   // consumer: front whole-file job done
-    std::condition_variable chunk_cv;  // consumer: chunked records/EOF ready
+    std::condition_variable chunk_cv;  // consumer: records/EOF ready
     // Refill scheduling target; nulled (under mu) before the decoder
     // destroys it, so late refill requests are safely dropped.
     Executor::Tenant* tenant = nullptr;
-    std::deque<std::shared_ptr<Job>> jobs;  // submission order, not handed out
-    // Chunked subsets handed to the consumer but still being filled.
-    std::deque<std::vector<std::shared_ptr<ChunkedFile>>> active;
+    std::deque<Subset> queued;  // submission order, not handed out
+    // Subsets handed to the consumer but still being filled.
+    std::deque<Subset> active;
     size_t files_decoded = 0;
-    size_t buffered = 0;      // records currently in chunked buffers
+    size_t buffered = 0;      // records currently buffered
     size_t max_buffered = 0;  // high watermark of `buffered`
-    size_t reclaims = 0;      // chunked files reclaimed while idle
+    size_t reclaims = 0;      // files reclaimed while idle
     size_t seek_resumes = 0;  // reclaim resumes via checkpoint seek
     size_t skip_resumes = 0;  // reclaim resumes via re-open + Skip
     bool stopping = false;
@@ -270,11 +236,11 @@ class PrefetchDecoder {
   // file not yet decoded AND drained). in_flight() counts live subsets
   // toward the prefetch_subsets bound; PruneActiveLocked drops dead
   // ones — both must use this one predicate.
-  static bool SubsetLive(const std::vector<std::shared_ptr<ChunkedFile>>& s);
+  static bool SubsetLive(const Subset& s);
   // Drops handed-out subsets whose files are all drained or abandoned.
   static void PruneActiveLocked(State& st);
   // Idle-tenant reclaim pass (invoked by the Executor with no executor
-  // lock held): drops every quiescent chunked file's buffered records,
+  // lock held): drops every quiescent file's buffered records,
   // releases every governor lease they held — extras and floor slots
   // alike — and marks the files for skip-ahead re-decode on resume
   // (which re-acquires its floor via the governor's FIFO Acquire).
@@ -285,9 +251,6 @@ class PrefetchDecoder {
   // Share of the (governor, executor) pair's pooled contention hook
   // (see ReclaimTickRegistry); dropped eagerly in the destructor.
   ReclaimTickRegistry::Share tick_share_;
-  // Private pool when no shared executor was injected. Declared before
-  // tenant_ so the tenant detaches first (members destruct in reverse).
-  std::shared_ptr<Executor> executor_;
   std::unique_ptr<Executor::Tenant> tenant_;
 };
 

@@ -53,10 +53,10 @@ struct Record {
   // RIB records of that dump; needed to resolve (peer index -> VP).
   std::shared_ptr<const mrt::PeerIndexTable> peer_index;
 
-  // Elems extracted (and elem-filtered) ahead of time on a prefetch worker
-  // thread (Options::extract_elems_in_workers). nullopt = not extracted;
-  // an engaged empty vector means extraction ran and every elem was
-  // filtered out. BgpStream::Elems moves the contents out.
+  // Elems extracted (and elem-filtered) ahead of time by a publisher and
+  // carried alongside the record by the mq record codec (see
+  // mq/serialize.hpp). nullopt = not extracted; an engaged empty vector
+  // means extraction ran and every elem was filtered out.
   std::optional<std::vector<Elem>> prefetched_elems;
 };
 

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <atomic>
-#include <future>
 
 #include "core/data_interface.hpp"
 #include "core/merge.hpp"
@@ -36,51 +35,32 @@ class BgpStream {
     // many consecutive empty polls (0 = poll forever).
     size_t max_consecutive_polls = 0;
     // Asynchronous prefetching decode stage (paper §3.1): number of
-    // overlapping-subsets decoded ahead of the consumer by a worker
-    // pool. 0 = decode synchronously on the consumer thread. Both paths
-    // emit the identical record sequence.
+    // overlapping-subsets decoded ahead of the consumer on the shared
+    // executor below. 0 = decode synchronously on the consumer thread
+    // (the byte-identity oracle). Both paths emit the identical record
+    // sequence. > 0 requires executor and governor; bgps::StreamPool
+    // injects both. Note the subset being merged counts toward
+    // prefetch_subsets while any of its files still decode, so
+    // prefetch_subsets >= 2 is needed to actually work ahead.
     size_t prefetch_subsets = 0;
-    // Worker-pool size for the prefetch stage (ignored when
-    // prefetch_subsets == 0).
-    size_t decode_threads = 2;
     // Invoked just before each dump file is opened, on whichever thread
     // performs the decode. See FileOpenHook.
     FileOpenHook file_open_hook;
-    // Cross-batch prefetch: while the current DataBatch is being
-    // consumed, fetch the next one from the DataInterface on a
-    // background thread so broker round-trips overlap with decode and
-    // merge. Ignored in live mode, which keeps strict client-pull
-    // semantics (§3.3.2: data is only retrieved when the user is ready
-    // to process it). At most one fetch is in flight, so DataInterface
-    // implementations never see concurrent calls.
-    bool prefetch_batches = false;
-    // Extract elems (and apply the elem-level filters) on the prefetch
-    // workers; Elems() then just moves the result out on the consumer
-    // thread. Requires prefetch_subsets > 0 (there are no workers
-    // otherwise); output is identical to inline extraction.
-    bool extract_elems_in_workers = false;
-    // Chunked decode: cap on records buffered in RAM per in-flight
-    // subset (split across its files, floor of one record per file)
-    // instead of materializing whole files — bounds memory for huge RIB
-    // subsets (§3.3.4, ~500 files). 0 = whole-file decode. Requires
-    // prefetch_subsets > 0; the synchronous path already streams with
-    // O(1) records per open file. Note the subset being merged counts
-    // toward prefetch_subsets while any of its files still decode, so
-    // prefetch_subsets >= 2 is needed to actually work ahead.
+    // Cap on records buffered in RAM per in-flight subset (split across
+    // its files, floor of one record per file), so huge RIB subsets
+    // (§3.3.4, ~500 files) never materialize whole files. 0 = the
+    // governor's capacity. The synchronous path already streams with
+    // O(1) records per open file.
     size_t max_records_in_flight = 0;
-    // Shared decode pool (runtime layer): run this stream's decode
-    // tasks on a process-wide Executor instead of a private pool of
-    // decode_threads workers. The stream gets its own FIFO tenant
-    // queue, dispatched round-robin against every other tenant.
-    // Injected by bgps::StreamPool; null = private pool (the PR-2
-    // behavior, byte-for-byte).
+    // Shared decode pool (runtime layer): the stream's decode tasks run
+    // on this process-wide Executor as one FIFO tenant queue,
+    // dispatched round-robin against every other tenant. Injected by
+    // bgps::StreamPool.
     std::shared_ptr<Executor> executor;
-    // Global record-budget ledger (runtime layer): chunked buffers
-    // lease slots from this process-wide governor instead of budgeting
-    // independently, so the *sum* of records buffered across all
-    // streams sharing it stays under one hard cap. Requires
-    // prefetch_subsets > 0 and max_records_in_flight > 0. Injected by
-    // bgps::StreamPool; null = per-stream bound only.
+    // Global record-budget ledger (runtime layer): every buffered record
+    // leases a slot from this process-wide governor, so the *sum* of
+    // records buffered across all streams sharing it stays under one
+    // hard cap. Injected by bgps::StreamPool.
     std::shared_ptr<MemoryGovernor> governor;
     // Scheduling weight of this stream's executor tenant: decode tasks
     // drained per dispatch visit relative to other tenants (a weight-4
@@ -96,11 +76,11 @@ class BgpStream {
     // untouched). Injected by StreamPool's TenantOptions::deadline.
     bool tenant_deadline = false;
     // Idle-tenant reclaim: when this stream's consumer has not drained
-    // a record for this many executor dispatch rounds, its chunked
-    // buffers are dropped (governor leases released down to one floor
-    // slot per file) and re-decoded on resume — so a paused consumer
-    // cannot pin the shared budget. Requires max_records_in_flight > 0.
-    // 0 = never reclaim. Output is identical either way.
+    // a record for this many executor dispatch rounds, its buffered
+    // records are dropped (their governor leases released) and
+    // re-decoded on resume — so a paused consumer cannot pin the shared
+    // budget. Requires prefetch_subsets > 0. 0 = never reclaim. Output
+    // is identical either way.
     size_t idle_reclaim_rounds = 0;
   };
 
@@ -117,18 +97,17 @@ class BgpStream {
     // Dump files fully decoded (a reclaimed file counts again when its
     // re-decode completes).
     size_t files_decoded = 0;
-    // Records currently buffered by chunked decode.
+    // Records currently buffered by the prefetch stage.
     size_t records_buffered = 0;
-    // Chunked files whose buffers idle-reclaim dropped so far.
+    // Files whose buffers idle-reclaim dropped so far.
     size_t reclaims = 0;
   };
 
   BgpStream() = default;
   explicit BgpStream(Options options) : options_(std::move(options)) {}
-  // Blocks until any in-flight background work (decode workers, a
-  // cross-batch fetch) has finished. Virtual so pool-vended handles
-  // (which deregister from the pool's stats registry) destroy cleanly
-  // through a BgpStream pointer.
+  // Blocks until any in-flight decode task has finished. Virtual so
+  // pool-vended handles (which deregister from the pool's stats
+  // registry) destroy cleanly through a BgpStream pointer.
   virtual ~BgpStream();
 
   // --- configuration phase ---
@@ -155,21 +134,16 @@ class BgpStream {
   // memory governor's budget is smaller than a subset's file count.
   const Status& status() const { return status_; }
 
-  // Elems of `record` passing the elem-level filters. When the workers
-  // pre-extracted them (Options::extract_elems_in_workers) this is a
-  // move-out: the record's cached elems are consumed, so a second call
-  // on the same record falls back to inline extraction.
-  std::vector<Elem> Elems(Record& record) const;
+  // Elems of `record` passing the elem-level filters.
+  std::vector<Elem> Elems(const Record& record) const;
 
   // Stats (used by the sorting/throughput benches and the tests).
   size_t records_emitted() const { return records_emitted_.load(); }
   size_t batches_fetched() const { return batches_fetched_; }
   size_t subsets_merged() const { return subsets_merged_; }
   size_t max_open_files() const { return max_open_files_; }
-  // DataBatches fetched eagerly on the background thread.
-  size_t batches_prefetched() const { return batches_prefetched_; }
-  // High watermark of records buffered by chunked decode (0 unless
-  // max_records_in_flight > 0).
+  // High watermark of records buffered by the prefetch stage (0 on the
+  // synchronous path).
   size_t max_records_buffered() const {
     return decoder_ ? decoder_->max_buffered_records() : 0;
   }
@@ -187,24 +161,19 @@ class BgpStream {
   bool Refill();
 
   // Keeps the decode pipeline full: submits pending subsets until
-  // prefetch_subsets are in flight, harvesting an eagerly fetched next
-  // batch when the current one is fully submitted (no-op when prefetch
-  // is disabled). Stops early (without error) when the shared memory
-  // governor cannot currently cover a subset's floor slots.
+  // prefetch_subsets are in flight. Stops early (without error) when
+  // the shared memory governor cannot currently cover a subset's floor
+  // slots.
   void TopUpPrefetch();
 
   // Acquires one governor floor slot per file of `subset` before it may
-  // be submitted for chunked decode (no-op without a governor).
-  // may_block=false is the opportunistic work-ahead path (TryAcquire);
-  // may_block=true waits FIFO-fair — only safe when this stream holds
-  // no undrained buffers, i.e. Refill with nothing outstanding. Returns
-  // false when the slots were not acquired; sets status_ on a demand
-  // that can never be satisfied (subset larger than the whole budget).
+  // be submitted for decode. may_block=false is the opportunistic
+  // work-ahead path (TryAcquire); may_block=true waits FIFO-fair — only
+  // safe when this stream holds no undrained buffers, i.e. Refill with
+  // nothing outstanding. Returns false when the slots were not
+  // acquired; sets status_ on a demand that can never be satisfied
+  // (subset larger than the whole budget).
   bool AcquireSubsetFloors(size_t files, bool may_block);
-
-  // Kicks off the background fetch of the next DataBatch if cross-batch
-  // prefetch applies (historical mode, none already in flight).
-  void StartBatchPrefetch();
 
   FilterSet filters_;
   DataInterface* data_interface_ = nullptr;
@@ -216,8 +185,8 @@ class BgpStream {
   std::vector<std::vector<broker::DumpFileMeta>> pending_subsets_;
   size_t next_subset_ = 0;
   // decoder_ is declared before current_merge_: the merge may hold live
-  // chunked sources backed by the decoder, so it must be destroyed
-  // first (members destruct in reverse declaration order).
+  // sources backed by the decoder, so it must be destroyed first
+  // (members destruct in reverse declaration order).
   std::unique_ptr<PrefetchDecoder> decoder_;
   // Published (release) only after the decoder is fully constructed,
   // cleared before it is destroyed: stats() may race Start() from a
@@ -225,11 +194,6 @@ class BgpStream {
   // there would be a data race.
   std::atomic<PrefetchDecoder*> decoder_for_stats_{nullptr};
   std::unique_ptr<MultiWayMerge> current_merge_;
-  // Cross-batch prefetch: at most one eager NextBatch call in flight.
-  std::future<DataBatch> next_batch_;
-  // A harvested batch with no files (end-of-stream / retry) parked for
-  // Refill to act on.
-  std::optional<DataBatch> deferred_batch_;
 
   // Atomic: stats() may be read from another thread (StreamPool
   // introspection) while the consumer thread emits.
@@ -237,7 +201,6 @@ class BgpStream {
   size_t batches_fetched_ = 0;
   size_t subsets_merged_ = 0;
   size_t max_open_files_ = 0;
-  size_t batches_prefetched_ = 0;
 };
 
 }  // namespace bgps::core

@@ -1,6 +1,7 @@
 #include "pool/stream_pool.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <mutex>
 
 namespace bgps {
@@ -73,10 +74,6 @@ Result<std::unique_ptr<StreamPool>> StreamPool::Create(Options options) {
     return InvalidArgument("StreamPool requires threads > 0");
   if (options.record_budget == 0)
     return InvalidArgument("StreamPool requires record_budget > 0");
-  if (options.prefetch_subsets == 0)
-    return InvalidArgument(
-        "StreamPool requires prefetch_subsets > 0 (vended streams decode "
-        "on the shared pool)");
   return std::unique_ptr<StreamPool>(new StreamPool(options));
 }
 
@@ -85,12 +82,7 @@ std::unique_ptr<core::BgpStream> StreamPool::CreateStream(
   options.executor = executor_;
   options.governor = governor_;
   if (options.prefetch_subsets == 0) {
-    options.prefetch_subsets = options_.prefetch_subsets;
-  }
-  if (options.max_records_in_flight == 0) {
-    options.max_records_in_flight = options_.max_records_in_flight > 0
-                                        ? options_.max_records_in_flight
-                                        : options_.record_budget;
+    options.prefetch_subsets = kDefaultPrefetchSubsets;
   }
   options.tenant_weight = tenant.weight;
   options.tenant_deadline = tenant.deadline;
@@ -122,6 +114,63 @@ StreamPool::Snapshot StreamPool::Stats() const {
                    executor_->dispatch_rounds(), executor_->tenants()};
   snap.streams_created = streams_created_.load();
   return snap;
+}
+
+namespace {
+
+// JSON string escaping: quotes, backslashes and control bytes.
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string SnapshotJson(const StreamPool::Snapshot& snap) {
+  std::string buf;
+  buf += "{\"executor\":{\"threads\":" +
+         std::to_string(snap.executor.threads) +
+         ",\"tasks_run\":" + std::to_string(snap.executor.tasks_run) +
+         ",\"dispatch_rounds\":" +
+         std::to_string(snap.executor.dispatch_rounds) +
+         ",\"tenants\":" + std::to_string(snap.executor.tenants) + "}";
+  buf += ",\"governor\":{\"capacity\":" +
+         std::to_string(snap.governor.capacity) +
+         ",\"in_use\":" + std::to_string(snap.governor.in_use) +
+         ",\"max_in_use\":" + std::to_string(snap.governor.max_in_use) +
+         ",\"waiting\":" + std::to_string(snap.governor.waiting) + "}";
+  buf += ",\"streams_created\":" + std::to_string(snap.streams_created);
+  buf += ",\"tenants\":[";
+  for (size_t i = 0; i < snap.tenants.size(); ++i) {
+    const auto& t = snap.tenants[i];
+    if (i > 0) buf += ",";
+    buf += "{\"name\":\"" + JsonEscape(t.name) + "\"";
+    buf += ",\"weight\":" + std::to_string(t.weight);
+    buf += std::string(",\"deadline\":") + (t.deadline ? "true" : "false");
+    buf += ",\"queue_depth\":" + std::to_string(t.stats.queue_depth);
+    buf += ",\"tasks_executed\":" + std::to_string(t.stats.tasks_executed);
+    buf += ",\"files_decoded\":" + std::to_string(t.stats.files_decoded);
+    buf += ",\"records_buffered\":" + std::to_string(t.stats.records_buffered);
+    buf += ",\"records_emitted\":" + std::to_string(t.stats.records_emitted);
+    buf += ",\"reclaims\":" + std::to_string(t.stats.reclaims) + "}";
+  }
+  buf += "]}";
+  return buf;
 }
 
 }  // namespace bgps

@@ -25,9 +25,9 @@
 // parked buffers are dropped and re-decoded on resume, so one stalled
 // tenant cannot pin the shared budget.
 //
-// Every vended stream emits exactly the record/elem sequence it would
-// with a private pipeline — the pool only changes *where* decode work
-// runs and *who* accounts the buffers. Streams may outlive the pool
+// Every vended stream emits exactly the record/elem sequence the
+// synchronous BgpStream emits — the pool only changes *where* decode
+// work runs and *who* accounts the buffers. Streams may outlive the pool
 // (they share ownership of the Executor/Governor), but the intended
 // shape is pool-owns-lifetime.
 #pragma once
@@ -51,13 +51,9 @@ class StreamPool {
   struct Options {
     // Shared decode workers serving every vended stream.
     size_t threads = 4;
-    // Hard cap on chunked-decode records buffered in RAM across all
-    // vended streams together (the MemoryGovernor capacity).
+    // Hard cap on decoded records buffered in RAM across all vended
+    // streams together (the MemoryGovernor capacity).
     size_t record_budget = 4096;
-    // Defaults applied by CreateStream when the caller's own options
-    // leave the knobs unset (0):
-    size_t prefetch_subsets = 3;       // decode-ahead depth per stream
-    size_t max_records_in_flight = 0;  // per-subset split; 0 = record_budget
     // Default idle-tenant reclaim threshold, in executor dispatch
     // rounds, applied to vended streams (TenantOptions can override
     // per tenant). 0 = paused consumers keep their buffers forever.
@@ -107,17 +103,22 @@ class StreamPool {
     size_t streams_created = 0;
   };
 
-  // Validates the options; error on a zero thread count, budget, or
-  // prefetch depth (a pool of never-running streams).
+  // Validates the options; error on a zero thread count or budget (a
+  // pool of never-running streams).
   static Result<std::unique_ptr<StreamPool>> Create(Options options);
 
   StreamPool(const StreamPool&) = delete;
   StreamPool& operator=(const StreamPool&) = delete;
 
+  // Decode-ahead depth CreateStream gives a stream whose options leave
+  // prefetch_subsets at 0.
+  static constexpr size_t kDefaultPrefetchSubsets = 3;
+
   // Vends a stream wired to the shared Executor and MemoryGovernor.
   // `options` may pre-set any BgpStream knob; executor/governor are
-  // overwritten with the pool's, and prefetch_subsets /
-  // max_records_in_flight fall back to the pool defaults when 0.
+  // overwritten with the pool's, and prefetch_subsets falls back to
+  // kDefaultPrefetchSubsets when 0 (max_records_in_flight = 0 already
+  // means "the whole budget").
   // `tenant` names and weights the stream's executor queue for
   // scheduling and Stats(). The handle is configured, started, and
   // consumed exactly like a standalone BgpStream; destroying it
@@ -164,5 +165,12 @@ class StreamPool {
   std::shared_ptr<pool_internal::TenantRegistry> registry_;
   std::atomic<size_t> streams_created_{0};
 };
+
+// One snapshot as a single-line JSON object (no trailing newline): the
+// "executor", "governor", "streams_created" and "tenants" sections, each
+// tenant with every Snapshot::Tenant field. bgpreader --pool-stats-json,
+// bgpfanout's stats topic and bgplive --stats-interval all emit this
+// shape; docs/OPERATIONS.md documents it.
+std::string SnapshotJson(const StreamPool::Snapshot& snap);
 
 }  // namespace bgps

@@ -1,10 +1,9 @@
 // Bump arena + string interning for the decode hot path.
 //
-// Arena generalizes the ElemArena idea from core/dump_reader.hpp: instead
-// of predicting one vector's capacity, it services many small, same-
-// lifetime allocations (AS-path intern keys, scratch spans) from large
-// blocks that are freed wholesale when the owning dump / chunked file is
-// destroyed. Allocation is a pointer bump; there is no per-object free.
+// Arena services many small, same-lifetime allocations (AS-path intern
+// keys, scratch spans) from large blocks that are freed wholesale when
+// the owning dump / chunked file is destroyed. Allocation is a pointer
+// bump; there is no per-object free.
 //
 // InternedString is a process-wide, never-freed string pool for low-
 // cardinality provenance strings (project/collector names): each distinct

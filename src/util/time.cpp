@@ -1,8 +1,41 @@
 #include "util/time.hpp"
 
+#include <charconv>
 #include <cstdio>
+#include <optional>
 
 namespace bgps {
+
+namespace {
+
+// The whole of `s` as a non-negative decimal integer, or nullopt.
+std::optional<Timestamp> ParseSeconds(std::string_view s) {
+  Timestamp v = 0;
+  const char* end = s.data() + s.size();
+  if (s.empty() || s.front() == '-') return std::nullopt;
+  auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+}  // namespace
+
+Result<TimeInterval> ParseTimeWindow(std::string_view text) {
+  size_t comma = text.find(',');
+  std::string_view start_token = text.substr(0, comma);
+  std::optional<Timestamp> start = ParseSeconds(start_token);
+  if (!start)
+    return InvalidArgument("START must be whole UNIX seconds, got \"" +
+                           std::string(start_token) + "\"");
+  if (comma == std::string_view::npos) return TimeInterval{*start, kLiveEnd};
+  std::string_view end_token = text.substr(comma + 1);
+  std::optional<Timestamp> end = ParseSeconds(end_token);
+  if (!end)
+    return InvalidArgument("END must be whole UNIX seconds, got \"" +
+                           std::string(end_token) + "\"");
+  if (*end <= *start) return InvalidArgument("window must have END > START");
+  return TimeInterval{*start, *end};
+}
 
 int64_t DaysFromCivil(int y, int m, int d) {
   y -= m <= 2;

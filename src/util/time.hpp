@@ -8,6 +8,9 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+
+#include "util/result.hpp"
 
 namespace bgps {
 
@@ -48,6 +51,12 @@ struct TimeInterval {
     return s < end && e > start;
   }
 };
+
+// Parses a command-line time window "START[,END]" of UNIX seconds (the
+// tools' -w argument). Each token must be a whole non-negative decimal
+// integer, and END, when given, must be > START; without END the
+// interval is live (end == kLiveEnd). Errors quote the offending token.
+Result<TimeInterval> ParseTimeWindow(std::string_view text);
 
 // Aligns `ts` down to a multiple of `bin` seconds.
 inline Timestamp AlignToBin(Timestamp ts, Timestamp bin) {

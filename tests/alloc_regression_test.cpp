@@ -282,13 +282,15 @@ TEST(AllocRegressionTest, ChunkedStreamPathAllocatesBoundedPerRecord) {
   meta.path = path;
 
   PrefetchDecoder::Options opt;
-  opt.threads = 1;
-  opt.max_records_in_flight = 64;
+  opt.executor = std::make_shared<Executor>(Executor::Options{.threads = 1});
+  opt.governor = std::make_shared<MemoryGovernor>(64);
+  MemoryGovernor& governor = *opt.governor;
   PrefetchDecoder decoder(std::move(opt));
 
   size_t before = AllocCount();
+  ASSERT_TRUE(governor.TryAcquire(1));  // the file's floor slot
   decoder.Submit({meta});
-  auto sources = decoder.WaitNextSources();
+  auto sources = decoder.NextSources();
   ASSERT_EQ(sources.size(), 1u);
   size_t drained = 0;
   while (auto rec = sources[0]->Next()) {

@@ -7,6 +7,7 @@
 #include <random>
 
 #include "core/merge.hpp"
+#include "core/prefetch.hpp"
 #include "mrt/encode.hpp"
 #include "mrt/file.hpp"
 
@@ -207,9 +208,13 @@ TEST_F(MergeTieBreakTest, PrefetchedMergeAppliesSameTieBreak) {
       File(kTs, 300, broker::DumpType::Rib, WriteRibFile(kTs, 3)),
       File(kTs, 300, broker::DumpType::Updates, WriteUpdatesFile(kTs, 3))};
 
-  std::vector<DecodedDump> dumps;
-  for (const auto& f : files) dumps.push_back(DecodeDumpFile(f));
-  MultiWayMerge merge(std::move(dumps));
+  PrefetchDecoder::Options opt;
+  opt.executor = std::make_shared<Executor>(Executor::Options{.threads = 2});
+  opt.governor = std::make_shared<MemoryGovernor>(16);
+  ASSERT_TRUE(opt.governor->TryAcquire(files.size()));  // floor slots
+  PrefetchDecoder decoder(std::move(opt));
+  decoder.Submit(files);
+  MultiWayMerge merge(decoder.NextSources());
   std::vector<DumpType> order;
   while (auto rec = merge.Next()) order.push_back(rec->dump_type);
   ASSERT_EQ(order.size(), 7u);

@@ -1,6 +1,6 @@
 // Tests of the asynchronous prefetching decode stage (paper §3.1): the
-// PrefetchDecoder pool itself, and BgpStream equivalence between the
-// synchronous and prefetched paths.
+// PrefetchDecoder itself on an injected executor and governor, and
+// BgpStream equivalence between the synchronous and prefetched paths.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -39,6 +39,32 @@ std::vector<DumpFileMeta> BogusSubset(const std::string& tag, size_t n) {
     files.push_back(f);
   }
   return files;
+}
+
+// Decoder options on a fresh executor and governor: the runtime a
+// StreamPool injects, without the pool.
+PrefetchDecoder::Options FreshRuntime(size_t threads, size_t budget) {
+  PrefetchDecoder::Options opt;
+  opt.executor =
+      std::make_shared<Executor>(Executor::Options{.threads = threads});
+  opt.governor = std::make_shared<MemoryGovernor>(budget);
+  return opt;
+}
+
+// Submits `subset` per the Options::governor contract: one floor slot
+// per file first.
+void SubmitWithFloors(PrefetchDecoder& decoder, MemoryGovernor& governor,
+                      std::vector<DumpFileMeta> subset) {
+  ASSERT_TRUE(governor.TryAcquire(subset.size()));
+  decoder.Submit(std::move(subset));
+}
+
+// Every record of `meta`, decoded synchronously.
+std::vector<Record> DecodeAll(const DumpFileMeta& meta) {
+  std::vector<Record> out;
+  DumpReader reader(meta);
+  while (auto rec = reader.Next()) out.push_back(std::move(*rec));
+  return out;
 }
 
 // DumpReader::Skip — the idle-reclaim resume path — must count exactly
@@ -299,24 +325,23 @@ TEST(PrefetchDecoderTest, ReclaimResumeSeeksInsteadOfRereadingLargeFile) {
 
   std::vector<std::string> expect;  // first-elem prefix per record
   {
-    DecodedDump dump = DecodeDumpFile(meta);
-    ASSERT_EQ(dump.records.size(), kTotal);
-    for (const auto& rec : dump.records) {
+    std::vector<Record> records = DecodeAll(meta);
+    ASSERT_EQ(records.size(), kTotal);
+    for (const auto& rec : records) {
       auto elems = ExtractElems(rec);
       expect.push_back(elems.empty() ? "" : elems[0].prefix.ToString());
     }
   }
 
-  auto ex = std::make_shared<Executor>(Executor::Options{.threads = 2});
   std::atomic<size_t> opens{0};
-  PrefetchDecoder::Options opt;
-  opt.executor = ex;
-  opt.max_records_in_flight = 64;
+  PrefetchDecoder::Options opt = FreshRuntime(2, 64);
+  auto ex = opt.executor;
+  auto gov = opt.governor;
   opt.idle_reclaim_rounds = 5;
-  opt.decode.file_open_hook = [&opens](const DumpFileMeta&) { ++opens; };
+  opt.file_open_hook = [&opens](const DumpFileMeta&) { ++opens; };
   PrefetchDecoder decoder(std::move(opt));
-  decoder.Submit({meta});
-  auto sources = decoder.WaitNextSources();
+  SubmitWithFloors(decoder, *gov, {meta});
+  auto sources = decoder.NextSources();
   ASSERT_EQ(sources.size(), 1u);
 
   // Drain most of the file, then pause the consumer mid-stream.
@@ -403,11 +428,11 @@ TEST(PrefetchDecoderTest, DecodersSharingExecutorPoolOneContentionHook) {
     EXPECT_EQ(gov->contention_hook_count(), 1u);
   }
 
-  // A decoder with a private executor is a distinct (governor, executor)
+  // A decoder on another executor is a distinct (governor, executor)
   // pair and rightly gets its own hook — scoped, so it unhooks on exit.
   {
     PrefetchDecoder::Options solo;
-    solo.threads = 1;
+    solo.executor = std::make_shared<Executor>(Executor::Options{.threads = 1});
     solo.governor = gov;
     solo.max_records_in_flight = 16;
     solo.idle_reclaim_rounds = 3;
@@ -464,16 +489,14 @@ TEST(PrefetchDecoderTest, BlockedGovernorDemandTriggersReclaimWithoutPool) {
   meta.duration = 3600;
   meta.path = path;
 
-  auto gov = std::make_shared<MemoryGovernor>(24);
-  PrefetchDecoder::Options opt;
-  opt.threads = 2;  // private executor: nobody but the decoder wires hooks
-  opt.governor = gov;
+  // No StreamPool: nobody but the decoder wires hooks.
+  PrefetchDecoder::Options opt = FreshRuntime(2, 24);
+  auto gov = opt.governor;
   opt.max_records_in_flight = 16;
   opt.idle_reclaim_rounds = 3;
   PrefetchDecoder decoder(std::move(opt));
-  ASSERT_TRUE(gov->Acquire(1).ok());  // the subset's floor slot
-  decoder.Submit({meta});
-  auto sources = decoder.WaitNextSources();
+  SubmitWithFloors(decoder, *gov, {meta});
+  auto sources = decoder.NextSources();
   ASSERT_EQ(sources.size(), 1u);
 
   std::vector<Timestamp> got;
@@ -561,16 +584,14 @@ TEST(PrefetchDecoderTest, ReclaimReleasesFloorSlotsOfNeverDrainedTenant) {
   meta.path = path;
 
   constexpr size_t kBudget = 24;
-  auto gov = std::make_shared<MemoryGovernor>(kBudget);
-  PrefetchDecoder::Options opt;
-  opt.threads = 2;  // private executor: the decoder wires the hook itself
-  opt.governor = gov;
+  // No StreamPool: the decoder wires the hook itself.
+  PrefetchDecoder::Options opt = FreshRuntime(2, kBudget);
+  auto gov = opt.governor;
   opt.max_records_in_flight = 16;
   opt.idle_reclaim_rounds = 3;
   PrefetchDecoder decoder(std::move(opt));
-  ASSERT_TRUE(gov->Acquire(1).ok());  // the subset's floor slot
-  decoder.Submit({meta});
-  auto sources = decoder.WaitNextSources();
+  SubmitWithFloors(decoder, *gov, {meta});
+  auto sources = decoder.NextSources();
   ASSERT_EQ(sources.size(), 1u);
 
   auto wait_for = [](auto pred) {
@@ -687,8 +708,10 @@ TEST(PrefetchDecoderTest, DeadlineOpenDoesNotWaitBehindRivalDecodeBurst) {
   });
   ASSERT_TRUE(wait_for([&] { return gate_entered.load(); }));
 
+  auto gov = std::make_shared<MemoryGovernor>(64);
   PrefetchDecoder::Options opt_a;
   opt_a.executor = ex;
+  opt_a.governor = gov;
   opt_a.max_records_in_flight = 16;
   opt_a.tenant_deadline = true;
   PrefetchDecoder a(std::move(opt_a));
@@ -697,18 +720,20 @@ TEST(PrefetchDecoderTest, DeadlineOpenDoesNotWaitBehindRivalDecodeBurst) {
   std::atomic<size_t> a_buffered_at_b_open{size_t(-1)};
   PrefetchDecoder::Options opt_b;
   opt_b.executor = ex;
+  opt_b.governor = gov;
   opt_b.max_records_in_flight = 16;
   opt_b.tenant_deadline = true;
-  opt_b.decode.file_open_hook = [&](const DumpFileMeta&) {
+  opt_b.file_open_hook = [&](const DumpFileMeta&) {
     a_buffered_at_b_open.store(a.buffered_records());
     b_opened.store(true);
   };
   PrefetchDecoder b(std::move(opt_b));
 
-  a.Submit({meta_a});  // enqueued first: EDF opens A first...
-  b.Submit({meta_b});
-  auto sources_a = a.WaitNextSources();
-  auto sources_b = b.WaitNextSources();
+  // A enqueued first: EDF opens A first...
+  SubmitWithFloors(a, *gov, {meta_a});
+  SubmitWithFloors(b, *gov, {meta_b});
+  auto sources_a = a.NextSources();
+  auto sources_b = b.NextSources();
   gate.set_value();
 
   ASSERT_TRUE(wait_for([&] { return b_opened.load(); }));
@@ -732,82 +757,78 @@ TEST(PrefetchDecoderTest, DeadlineOpenDoesNotWaitBehindRivalDecodeBurst) {
 }
 
 TEST(PrefetchDecoderTest, ReturnsSubsetsInSubmitOrderWithFileOrderKept) {
-  PrefetchDecoder::Options opt;
-  opt.threads = 3;
+  PrefetchDecoder::Options opt = FreshRuntime(3, 64);
+  auto gov = opt.governor;
   PrefetchDecoder decoder(std::move(opt));
 
-  decoder.Submit(BogusSubset("a", 5));
-  decoder.Submit(BogusSubset("b", 3));
-  decoder.Submit(BogusSubset("c", 1));
+  SubmitWithFloors(decoder, *gov, BogusSubset("a", 5));
+  SubmitWithFloors(decoder, *gov, BogusSubset("b", 3));
+  SubmitWithFloors(decoder, *gov, BogusSubset("c", 1));
   EXPECT_EQ(decoder.outstanding(), 3u);
 
-  auto a = decoder.WaitNext();
+  auto a = decoder.NextSources();
   ASSERT_EQ(a.size(), 5u);
   for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].meta.collector, "a-" + std::to_string(i));
-    ASSERT_EQ(a[i].records.size(), 1u);
-    EXPECT_EQ(a[i].records[0].status, RecordStatus::CorruptedDump);
+    EXPECT_EQ(a[i]->meta().collector, "a-" + std::to_string(i));
+    auto rec = a[i]->Next();
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_EQ(rec->status, RecordStatus::CorruptedDump);
+    EXPECT_EQ(a[i]->Next(), std::nullopt);  // one record per bogus file
   }
-  auto b = decoder.WaitNext();
+  auto b = decoder.NextSources();
   ASSERT_EQ(b.size(), 3u);
-  EXPECT_EQ(b[0].meta.collector, "b-0");
-  auto c = decoder.WaitNext();
+  EXPECT_EQ(b[0]->meta().collector, "b-0");
+  auto c = decoder.NextSources();
   ASSERT_EQ(c.size(), 1u);
-  EXPECT_EQ(c[0].meta.collector, "c-0");
+  EXPECT_EQ(c[0]->meta().collector, "c-0");
   EXPECT_EQ(decoder.outstanding(), 0u);
+  for (auto* subset : {&b, &c}) {
+    for (auto& src : *subset) {
+      while (src->Next()) {
+      }
+    }
+  }
   EXPECT_EQ(decoder.files_decoded(), 9u);
 }
 
 TEST(PrefetchDecoderTest, DecodesAheadOfConsumption) {
-  PrefetchDecoder::Options opt;
-  opt.threads = 2;
+  PrefetchDecoder::Options opt = FreshRuntime(2, 64);
+  auto gov = opt.governor;
   PrefetchDecoder decoder(std::move(opt));
-  decoder.Submit(BogusSubset("first", 2));
-  decoder.Submit(BogusSubset("second", 4));
+  SubmitWithFloors(decoder, *gov, BogusSubset("first", 2));
+  SubmitWithFloors(decoder, *gov, BogusSubset("second", 4));
 
-  // Consume only the first subset, then watch the workers finish the
-  // second one on their own — that is the "ahead of the consumer" part.
-  (void)decoder.WaitNext();
+  // Hand out only the first subset (its sources stay alive, undrained),
+  // then watch the workers finish the second one on their own — that is
+  // the "ahead of the consumer" part.
+  auto first = decoder.NextSources();
   auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (decoder.files_decoded() < 6 &&
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   EXPECT_EQ(decoder.files_decoded(), 6u);
-  EXPECT_EQ(decoder.outstanding(), 1u);  // decoded but not yet consumed
+  EXPECT_EQ(decoder.outstanding(), 1u);  // decoded but not yet handed out
 }
 
 TEST(PrefetchDecoderTest, DestructorJoinsWithUnconsumedWork) {
-  PrefetchDecoder::Options opt;
-  opt.threads = 2;
+  PrefetchDecoder::Options opt = FreshRuntime(2, 64);
+  auto gov = opt.governor;
   PrefetchDecoder decoder(std::move(opt));
-  decoder.Submit(BogusSubset("left", 8));
+  SubmitWithFloors(decoder, *gov, BogusSubset("left", 8));
   // Dropping the decoder with queued/decoded-but-unconsumed work must not
   // hang or crash.
 }
 
-TEST(PrefetchDecoderTest, WholeFileInFlightMatchesOutstanding) {
-  PrefetchDecoder::Options opt;
-  opt.threads = 2;
-  PrefetchDecoder decoder(std::move(opt));
-  decoder.Submit(BogusSubset("a", 3));
-  decoder.Submit(BogusSubset("b", 2));
-  EXPECT_EQ(decoder.outstanding(), 2u);
-  EXPECT_EQ(decoder.in_flight(), 2u);
-  (void)decoder.WaitNext();
-  EXPECT_EQ(decoder.outstanding(), 1u);
-  EXPECT_EQ(decoder.in_flight(), 1u);  // whole-file: handed out = gone
-}
-
 TEST(PrefetchDecoderTest, ChunkedSourcesStreamInFileOrder) {
-  PrefetchDecoder::Options opt;
-  opt.threads = 3;
+  PrefetchDecoder::Options opt = FreshRuntime(3, 64);
+  auto gov = opt.governor;
   opt.max_records_in_flight = 2;  // 5 files -> 1 buffered record per file
   PrefetchDecoder decoder(std::move(opt));
-  decoder.Submit(BogusSubset("a", 5));
+  SubmitWithFloors(decoder, *gov, BogusSubset("a", 5));
   EXPECT_EQ(decoder.outstanding(), 1u);
 
-  auto sources = decoder.WaitNextSources();
+  auto sources = decoder.NextSources();
   ASSERT_EQ(sources.size(), 5u);
   EXPECT_EQ(decoder.outstanding(), 0u);
   for (size_t i = 0; i < sources.size(); ++i) {
@@ -832,15 +853,15 @@ TEST(PrefetchDecoderTest, ChunkedSourcesStreamInFileOrder) {
 }
 
 TEST(PrefetchDecoderTest, ChunkedInFlightCountsActiveSubsets) {
-  PrefetchDecoder::Options opt;
-  opt.threads = 2;
+  PrefetchDecoder::Options opt = FreshRuntime(2, 64);
+  auto gov = opt.governor;
   opt.max_records_in_flight = 8;
   PrefetchDecoder decoder(std::move(opt));
-  decoder.Submit(BogusSubset("x", 2));
-  decoder.Submit(BogusSubset("y", 2));
+  SubmitWithFloors(decoder, *gov, BogusSubset("x", 2));
+  SubmitWithFloors(decoder, *gov, BogusSubset("y", 2));
   EXPECT_EQ(decoder.in_flight(), 2u);
 
-  auto sources = decoder.WaitNextSources();
+  auto sources = decoder.NextSources();
   ASSERT_EQ(sources.size(), 2u);
   EXPECT_EQ(decoder.outstanding(), 1u);
   // Handed out but not yet drained: still holds decode resources.
@@ -860,35 +881,28 @@ TEST(PrefetchDecoderTest, ChunkedInFlightCountsActiveSubsets) {
 TEST(PrefetchDecoderTest, SharedExecutorDecodersKeepFifoOrder) {
   // Two decoders as tenants of one executor: each still returns its own
   // subsets in its own Submit order.
-  auto executor = std::make_shared<Executor>(Executor::Options{.threads = 2});
-  PrefetchDecoder::Options opt_a;
-  opt_a.executor = executor;
-  PrefetchDecoder::Options opt_b;
-  opt_b.executor = executor;
+  PrefetchDecoder::Options opt_a = FreshRuntime(2, 64);
+  PrefetchDecoder::Options opt_b = opt_a;
+  auto executor = opt_a.executor;
+  auto gov = opt_a.governor;
   PrefetchDecoder a(std::move(opt_a));
   PrefetchDecoder b(std::move(opt_b));
-  a.Submit(BogusSubset("a1", 3));
-  b.Submit(BogusSubset("b1", 2));
-  a.Submit(BogusSubset("a2", 1));
-  EXPECT_EQ(a.WaitNext()[0].meta.collector, "a1-0");
-  EXPECT_EQ(b.WaitNext()[0].meta.collector, "b1-0");
-  EXPECT_EQ(a.WaitNext()[0].meta.collector, "a2-0");
+  SubmitWithFloors(a, *gov, BogusSubset("a1", 3));
+  SubmitWithFloors(b, *gov, BogusSubset("b1", 2));
+  SubmitWithFloors(a, *gov, BogusSubset("a2", 1));
+  EXPECT_EQ(a.NextSources()[0]->meta().collector, "a1-0");
+  EXPECT_EQ(b.NextSources()[0]->meta().collector, "b1-0");
+  EXPECT_EQ(a.NextSources()[0]->meta().collector, "a2-0");
   EXPECT_EQ(executor->tenants(), 2u);
 }
 
 TEST(PrefetchDecoderTest, ChunkedGovernorLedgerBalancesOnDrain) {
-  auto governor = std::make_shared<MemoryGovernor>(8);
-  PrefetchDecoder::Options opt;
-  opt.threads = 2;
-  opt.max_records_in_flight = 8;
-  opt.governor = governor;
+  PrefetchDecoder::Options opt = FreshRuntime(2, 8);
+  auto governor = opt.governor;
   PrefetchDecoder decoder(std::move(opt));
 
-  // Per the Options::governor contract the caller acquires one floor
-  // slot per file before a chunked Submit.
-  ASSERT_TRUE(governor->TryAcquire(3));
-  decoder.Submit(BogusSubset("gov", 3));
-  auto sources = decoder.WaitNextSources();
+  SubmitWithFloors(decoder, *governor, BogusSubset("gov", 3));
+  auto sources = decoder.NextSources();
   ASSERT_EQ(sources.size(), 3u);
   for (auto& s : sources) {
     while (s->Next()) {
@@ -907,15 +921,11 @@ TEST(PrefetchDecoderTest, ChunkedGovernorLedgerBalancesOnDrain) {
 }
 
 TEST(PrefetchDecoderTest, ChunkedGovernorLedgerBalancesOnDestruction) {
-  auto governor = std::make_shared<MemoryGovernor>(8);
+  PrefetchDecoder::Options opt = FreshRuntime(2, 8);
+  auto governor = opt.governor;
   {
-    PrefetchDecoder::Options opt;
-    opt.threads = 2;
-    opt.max_records_in_flight = 8;
-    opt.governor = governor;
     PrefetchDecoder decoder(std::move(opt));
-    ASSERT_TRUE(governor->TryAcquire(4));
-    decoder.Submit(BogusSubset("dropped", 4));
+    SubmitWithFloors(decoder, *governor, BogusSubset("dropped", 4));
     // Destroyed with the subset undrained (possibly still filling).
   }
   EXPECT_EQ(governor->in_use(), 0u);
@@ -924,12 +934,11 @@ TEST(PrefetchDecoderTest, ChunkedGovernorLedgerBalancesOnDestruction) {
 TEST(PrefetchDecoderTest, ChunkedSourcesSurviveDecoderDestruction) {
   std::vector<std::unique_ptr<RecordSource>> sources;
   {
-    PrefetchDecoder::Options opt;
-    opt.threads = 2;
-    opt.max_records_in_flight = 8;
+    PrefetchDecoder::Options opt = FreshRuntime(2, 8);
+    auto gov = opt.governor;
     PrefetchDecoder decoder(std::move(opt));
-    decoder.Submit(BogusSubset("gone", 3));
-    sources = decoder.WaitNextSources();
+    SubmitWithFloors(decoder, *gov, BogusSubset("gone", 3));
+    sources = decoder.NextSources();
     // Give workers a chance to buffer; either way the sources must not
     // hang after the decoder (and its workers) are gone.
   }
@@ -986,7 +995,9 @@ TEST_F(PrefetchStreamTest, PrefetchedStreamMatchesSynchronousStream) {
 
   BgpStream::Options prefetch;
   prefetch.prefetch_subsets = 3;
-  prefetch.decode_threads = 2;
+  prefetch.executor =
+      std::make_shared<Executor>(Executor::Options{.threads = 2});
+  prefetch.governor = std::make_shared<MemoryGovernor>(4096);
   std::atomic<size_t> opens{0};
   prefetch.file_open_hook = [&](const DumpFileMeta&) { ++opens; };
   RunResult async = Run(std::move(prefetch));
@@ -1008,6 +1019,8 @@ TEST_F(PrefetchStreamTest, LiveModeWithPrefetchTerminatesOnPollCap) {
 
   BgpStream::Options opt;
   opt.prefetch_subsets = 2;
+  opt.executor = std::make_shared<Executor>(Executor::Options{.threads = 2});
+  opt.governor = std::make_shared<MemoryGovernor>(4096);
   opt.poll_wait = [&] { now += 300; };
   opt.max_consecutive_polls = 500;
   BgpStream stream(std::move(opt));

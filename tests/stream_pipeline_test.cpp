@@ -1,8 +1,9 @@
-// End-to-end tests of the three-stage asynchronous pipeline: every
-// configuration (synchronous, prefetch, worker-side elem extraction,
-// chunked decode, cross-batch prefetch) must emit the byte-identical
-// record *and elem* sequence, live mode must keep strict client-pull
-// semantics, and chunked decode must honor its memory bound.
+// End-to-end tests of the asynchronous pipeline: streams decoding on
+// an injected executor and governor (pool-vended or wired by hand) must
+// emit the byte-identical record *and elem* sequence of the synchronous
+// stream at every depth and cap, live mode must keep strict client-pull
+// semantics, Start() must reject invalid knob combinations exactly, and
+// the per-subset cap must bound memory.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -33,7 +34,6 @@ struct StreamRun {
   std::vector<ElemFp> elems;
   size_t subsets = 0;
   size_t max_open = 0;
-  size_t batches_prefetched = 0;
   size_t max_records_buffered = 0;
 };
 
@@ -51,9 +51,17 @@ StreamRun Drain(BgpStream& stream) {
   }
   out.subsets = stream.subsets_merged();
   out.max_open = stream.max_open_files();
-  out.batches_prefetched = stream.batches_prefetched();
   out.max_records_buffered = stream.max_records_buffered();
   return out;
+}
+
+// A two-worker pool with a roomy budget.
+std::unique_ptr<bgps::StreamPool> MakePool(size_t threads = 2,
+                                           size_t budget = 4096) {
+  auto pool = bgps::StreamPool::Create(
+      {.threads = threads, .record_budget = budget});
+  EXPECT_TRUE(pool.ok());
+  return std::move(*pool);
 }
 
 class PipelineEquivalenceTest : public ::testing::Test {
@@ -68,10 +76,8 @@ class PipelineEquivalenceTest : public ::testing::Test {
   // Streams the whole archive through a broker with a small response
   // window so multiple DataBatches flow (exercising batch boundaries).
   // When `pool` is given the stream is vended from it (the shared
-  // decode runtime) instead of running a private pipeline.
+  // decode runtime); otherwise it is a standalone BgpStream.
   StreamRun Run(BgpStream::Options options,
-                const std::vector<std::pair<std::string, std::string>>&
-                    filters = {},
                 bgps::StreamPool* pool = nullptr) {
     broker::Broker::Options bopt;
     bopt.clock = [] { return Timestamp(4102444800); };
@@ -81,9 +87,6 @@ class PipelineEquivalenceTest : public ::testing::Test {
     std::unique_ptr<BgpStream> stream =
         pool ? pool->CreateStream(std::move(options))
              : std::make_unique<BgpStream>(std::move(options));
-    for (const auto& [k, v] : filters) {
-      EXPECT_TRUE(stream->AddFilter(k, v).ok()) << k << " " << v;
-    }
     stream->SetInterval(start_, end_);
     stream->SetDataInterface(&di);
     EXPECT_TRUE(stream->Start().ok());
@@ -96,61 +99,33 @@ class PipelineEquivalenceTest : public ::testing::Test {
   Timestamp start_ = 0, end_ = 0;
 };
 
-BgpStream::Options FullPipeline() {
-  BgpStream::Options opt;
-  opt.prefetch_subsets = 3;
-  opt.decode_threads = 2;
-  opt.prefetch_batches = true;
-  opt.extract_elems_in_workers = true;
-  opt.max_records_in_flight = 256;
-  return opt;
-}
-
 TEST_F(PipelineEquivalenceTest, AllConfigurationsEmitIdenticalStreams) {
   StreamRun sync = Run({});
   ASSERT_GT(sync.records.size(), 100u);
   ASSERT_GT(sync.elems.size(), 100u);
 
+  // Pool-vended streams at several decode-ahead depths and per-subset
+  // caps. Tiny caps force many refill bursts per file, so the per-dump
+  // arena state (AS-path cache, interned provenance, reused frame
+  // buffer) is exercised across task boundaries — the zero-copy decode
+  // path must still be byte-invisible in the output.
   struct Config {
-    const char* name;
-    BgpStream::Options options;
+    size_t depth;
+    size_t cap;  // 0 = the pool's whole budget
   };
-  std::vector<Config> configs;
-  {
-    BgpStream::Options prefetch;
-    prefetch.prefetch_subsets = 3;
-    prefetch.decode_threads = 2;
-    configs.push_back({"prefetch", prefetch});
-
-    BgpStream::Options extract = prefetch;
-    extract.extract_elems_in_workers = true;
-    configs.push_back({"prefetch+extract", extract});
-
-    BgpStream::Options chunked = prefetch;
-    chunked.max_records_in_flight = 64;
-    configs.push_back({"prefetch+chunked", chunked});
-
-    BgpStream::Options cross = prefetch;
-    cross.prefetch_batches = true;
-    configs.push_back({"prefetch+crossbatch", cross});
-
-    // Tiny chunked buffers force many refill bursts per file, so the
-    // per-dump arena state (AS-path cache, interned provenance, reused
-    // frame buffer) is exercised across task boundaries — the zero-copy
-    // decode path must still be byte-invisible in the output.
-    BgpStream::Options tiny = prefetch;
-    tiny.max_records_in_flight = 8;
-    tiny.extract_elems_in_workers = true;
-    configs.push_back({"prefetch+chunked-tiny+extract", tiny});
-
-    configs.push_back({"full", FullPipeline()});
-  }
-  for (auto& c : configs) {
-    StreamRun run = Run(std::move(c.options));
-    EXPECT_EQ(run.records, sync.records) << c.name;
-    EXPECT_EQ(run.elems, sync.elems) << c.name;
-    EXPECT_EQ(run.subsets, sync.subsets) << c.name;
-    EXPECT_EQ(run.max_open, sync.max_open) << c.name;
+  const Config configs[] = {{1, 0}, {2, 64}, {3, 8}, {3, 256}, {4, 0}};
+  auto pool = MakePool();
+  for (const Config& c : configs) {
+    BgpStream::Options opt;
+    opt.prefetch_subsets = c.depth;
+    opt.max_records_in_flight = c.cap;
+    StreamRun run = Run(std::move(opt), pool.get());
+    std::string name =
+        "depth " + std::to_string(c.depth) + " cap " + std::to_string(c.cap);
+    EXPECT_EQ(run.records, sync.records) << name;
+    EXPECT_EQ(run.elems, sync.elems) << name;
+    EXPECT_EQ(run.subsets, sync.subsets) << name;
+    EXPECT_EQ(run.max_open, sync.max_open) << name;
   }
 }
 
@@ -161,19 +136,14 @@ TEST_F(PipelineEquivalenceTest, SharedStreamPoolEmitsIdenticalStreams) {
   // K = 3 concurrent tenants on one 4-thread Executor + one governor,
   // all streaming the same archive: each must reproduce the synchronous
   // fingerprint exactly.
-  auto pool = bgps::StreamPool::Create({.threads = 4, .record_budget = 256});
-  ASSERT_TRUE(pool.ok());
+  auto pool = MakePool(4, 256);
   constexpr int kTenants = 3;
   std::vector<StreamRun> runs(kTenants);
   {
     std::vector<std::thread> consumers;
     for (int t = 0; t < kTenants; ++t) {
-      consumers.emplace_back([&, t] {
-        BgpStream::Options opt;
-        opt.prefetch_batches = true;
-        opt.extract_elems_in_workers = true;
-        runs[size_t(t)] = Run(std::move(opt), {}, pool->get());
-      });
+      consumers.emplace_back(
+          [&, t] { runs[size_t(t)] = Run({}, pool.get()); });
     }
     for (auto& c : consumers) c.join();
   }
@@ -182,78 +152,31 @@ TEST_F(PipelineEquivalenceTest, SharedStreamPoolEmitsIdenticalStreams) {
     EXPECT_EQ(runs[size_t(t)].elems, sync.elems) << "tenant " << t;
     EXPECT_EQ(runs[size_t(t)].subsets, sync.subsets) << "tenant " << t;
   }
-  EXPECT_LE((*pool)->max_records_in_use(), 256u);
+  EXPECT_LE(pool->max_records_in_use(), 256u);
 }
 
-TEST_F(PipelineEquivalenceTest, WorkerSideFilteringMatchesInlineFiltering) {
-  std::vector<std::pair<std::string, std::string>> filters = {
-      {"elemtype", "announcements"}, {"ipversion", "4"}};
-  StreamRun inline_run = Run({}, filters);
-  ASSERT_GT(inline_run.elems.size(), 10u);
-
-  BgpStream::Options opt = FullPipeline();
-  StreamRun worker_run = Run(std::move(opt), filters);
-  EXPECT_EQ(worker_run.records, inline_run.records);
-  EXPECT_EQ(worker_run.elems, inline_run.elems);
-}
-
-TEST_F(PipelineEquivalenceTest, CrossBatchPrefetchOverlapsBrokerFetches) {
-  StreamRun sync = Run({});
-  EXPECT_EQ(sync.batches_prefetched, 0u);
-
-  BgpStream::Options opt;
-  opt.prefetch_subsets = 2;
-  opt.prefetch_batches = true;
-  StreamRun cross = Run(std::move(opt));
-  EXPECT_EQ(cross.records, sync.records);
-  EXPECT_GT(cross.batches_prefetched, 0u);
-}
-
-TEST_F(PipelineEquivalenceTest, SecondElemsCallFallsBackToInlineExtraction) {
-  broker::Broker::Options bopt;
-  bopt.clock = [] { return Timestamp(4102444800); };
-  broker::Broker broker(root_, bopt);
-  BrokerDataInterface di(&broker);
-  BgpStream stream(FullPipeline());
-  stream.SetInterval(start_, end_);
-  stream.SetDataInterface(&di);
-  ASSERT_TRUE(stream.Start().ok());
-  bool saw_elems = false;
-  while (auto rec = stream.NextRecord()) {
-    std::vector<Elem> first = stream.Elems(*rec);
-    // The move-out consumed the worker-extracted cache; a second call
-    // must re-extract inline and yield the same elems.
-    std::vector<Elem> second = stream.Elems(*rec);
-    ASSERT_EQ(first.size(), second.size());
-    if (!first.empty()) saw_elems = true;
-  }
-  EXPECT_TRUE(saw_elems);
-}
-
-TEST_F(PipelineEquivalenceTest, FullPipelineStreamsLiveArchiveToCompletion) {
+TEST_F(PipelineEquivalenceTest, LivePoolStreamStreamsArchiveToCompletion) {
   Timestamp now = start_ + 301;
   broker::Broker::Options bopt;
   bopt.clock = [&now] { return now; };
   broker::Broker broker(root_, bopt);
   BrokerDataInterface di(&broker);
 
-  BgpStream::Options opt = FullPipeline();
+  BgpStream::Options opt;
   opt.poll_wait = [&] { now += 300; };
   opt.max_consecutive_polls = 500;
-  BgpStream stream(std::move(opt));
-  stream.SetLive(start_);
-  stream.SetDataInterface(&di);
-  ASSERT_TRUE(stream.Start().ok());
+  auto pool = MakePool();
+  auto stream = pool->CreateStream(std::move(opt));
+  stream->SetLive(start_);
+  stream->SetDataInterface(&di);
+  ASSERT_TRUE(stream->Start().ok());
   size_t records = 0;
-  while (auto rec = stream.NextRecord()) ++records;
+  while (auto rec = stream->NextRecord()) ++records;
   EXPECT_GT(records, 100u);
-  // Live mode keeps client-pull semantics: no eager batch fetches.
-  EXPECT_EQ(stream.batches_prefetched(), 0u);
 }
 
 // A data interface that never has data: live mode must give up after
-// exactly max_consecutive_polls empty polls even with every pipeline
-// knob enabled.
+// exactly max_consecutive_polls empty polls on the async path too.
 class NeverReadyInterface : public DataInterface {
  public:
   DataBatch NextBatch(const FilterSet&) override {
@@ -265,115 +188,114 @@ class NeverReadyInterface : public DataInterface {
   size_t refreshes = 0;
 };
 
-TEST(PipelineLiveTest, PollCapIsExactWithFullPipeline) {
+TEST(PipelineLiveTest, PollCapIsExactOnPoolStream) {
   NeverReadyInterface di;
-  BgpStream::Options opt = FullPipeline();
+  BgpStream::Options opt;
   size_t polls = 0;
   opt.poll_wait = [&polls] { ++polls; };
   opt.max_consecutive_polls = 7;
-  BgpStream stream(std::move(opt));
-  stream.SetLive(0);
-  stream.SetDataInterface(&di);
-  ASSERT_TRUE(stream.Start().ok());
-  EXPECT_EQ(stream.NextRecord(), std::nullopt);
+  auto pool = MakePool();
+  auto stream = pool->CreateStream(std::move(opt));
+  stream->SetLive(0);
+  stream->SetDataInterface(&di);
+  ASSERT_TRUE(stream->Start().ok());
+  EXPECT_EQ(stream->NextRecord(), std::nullopt);
   EXPECT_EQ(polls, 6u);
   EXPECT_EQ(di.refreshes, 6u);
-  EXPECT_EQ(stream.batches_prefetched(), 0u);
+  // Client-pull: exactly one data-interface query per poll.
+  EXPECT_EQ(stream->batches_fetched(), 7u);
 }
 
-TEST(PipelineOptionsTest, WorkerKnobsRequirePrefetch) {
+Status StartStatus(BgpStream::Options opt) {
   NeverReadyInterface di;
-  {
+  BgpStream stream(std::move(opt));
+  stream.SetInterval(0, 100);
+  stream.SetDataInterface(&di);
+  return stream.Start();
+}
+
+// The asynchronous path exists only on an injected runtime: without an
+// executor and a governor there is nothing to decode on or lease from.
+TEST(PipelineOptionsTest, PrefetchWithoutInjectedRuntimeFailsStart) {
+  const std::string expect =
+      "prefetch_subsets > 0 requires Options::executor and "
+      "Options::governor (bgps::StreamPool::CreateStream injects both)";
+  auto executor = std::make_shared<Executor>(Executor::Options{.threads = 2});
+  auto governor = std::make_shared<MemoryGovernor>(64);
+  for (int mask = 0; mask < 3; ++mask) {  // neither, executor, governor
     BgpStream::Options opt;
-    opt.extract_elems_in_workers = true;
-    BgpStream stream(std::move(opt));
-    stream.SetInterval(0, 100);
-    stream.SetDataInterface(&di);
-    EXPECT_FALSE(stream.Start().ok());
-  }
-  {
-    BgpStream::Options opt;
-    opt.max_records_in_flight = 64;
-    BgpStream stream(std::move(opt));
-    stream.SetInterval(0, 100);
-    stream.SetDataInterface(&di);
-    EXPECT_FALSE(stream.Start().ok());
+    opt.prefetch_subsets = 2;
+    if (mask == 1) opt.executor = executor;
+    if (mask == 2) opt.governor = governor;
+    Status st = StartStatus(std::move(opt));
+    ASSERT_FALSE(st.ok()) << mask;
+    EXPECT_EQ(st.code(), StatusCode::InvalidArgument) << mask;
+    EXPECT_EQ(st.message(), expect) << mask;
   }
 }
 
-// Start() validation of the runtime-layer injection knobs, with the
-// exact diagnostics users will see.
+// Start() validation of the runtime-layer knobs, with the exact
+// diagnostics users will see.
 TEST(PipelineOptionsTest, RuntimeLayerKnobCombosFailStartExactly) {
-  NeverReadyInterface di;
-  auto start_status = [&di](BgpStream::Options opt) {
-    BgpStream stream(std::move(opt));
-    stream.SetInterval(0, 100);
-    stream.SetDataInterface(&di);
-    return stream.Start();
-  };
+  const std::string sync_only =
+      "executor, governor, max_records_in_flight and idle_reclaim_rounds "
+      "require prefetch_subsets > 0 (the synchronous path never decodes "
+      "off-thread)";
   {
-    // Executor without prefetch: there are no decode tasks to share.
-    BgpStream::Options opt;
-    opt.executor = std::make_shared<Executor>(Executor::Options{});
-    Status st = start_status(std::move(opt));
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.message(),
-              "Options::executor requires prefetch_subsets > 0 (the "
-              "synchronous path never decodes off-thread)");
+    // Each async knob on the synchronous path.
+    BgpStream::Options executor_only;
+    executor_only.executor = std::make_shared<Executor>(Executor::Options{});
+    BgpStream::Options governor_only;
+    governor_only.governor = std::make_shared<MemoryGovernor>(64);
+    BgpStream::Options cap_only;
+    cap_only.max_records_in_flight = 64;
+    BgpStream::Options reclaim_only;
+    reclaim_only.idle_reclaim_rounds = 10;
+    for (auto& opt : {executor_only, governor_only, cap_only, reclaim_only}) {
+      Status st = StartStatus(opt);
+      ASSERT_FALSE(st.ok());
+      EXPECT_EQ(st.message(), sync_only);
+    }
   }
   {
     // Zero-thread executor: tasks would queue forever.
     BgpStream::Options opt;
     opt.prefetch_subsets = 2;
     opt.executor = std::make_shared<Executor>(Executor::Options{.threads = 0});
-    Status st = start_status(std::move(opt));
+    opt.governor = std::make_shared<MemoryGovernor>(64);
+    Status st = StartStatus(std::move(opt));
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.message(),
               "Options::executor has no worker threads (decode tasks would "
               "never run)");
   }
   {
-    // Governor without prefetch.
-    BgpStream::Options opt;
-    opt.governor = std::make_shared<MemoryGovernor>(64);
-    Status st = start_status(std::move(opt));
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.message(),
-              "Options::governor requires prefetch_subsets > 0");
-  }
-  {
-    // Governor without chunked decode: nothing would ever lease slots.
-    BgpStream::Options opt;
-    opt.prefetch_subsets = 2;
-    opt.governor = std::make_shared<MemoryGovernor>(64);
-    Status st = start_status(std::move(opt));
-    ASSERT_FALSE(st.ok());
-    EXPECT_EQ(st.message(),
-              "Options::governor requires max_records_in_flight > 0 (the "
-              "governor leases chunked-decode buffer slots)");
-  }
-  {
     // A zero-record budget could never cover any subset's floor slots.
     BgpStream::Options opt;
     opt.prefetch_subsets = 2;
-    opt.max_records_in_flight = 64;
+    opt.executor = std::make_shared<Executor>(Executor::Options{.threads = 2});
     opt.governor = std::make_shared<MemoryGovernor>(0);
-    Status st = start_status(std::move(opt));
+    Status st = StartStatus(std::move(opt));
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.message(), "Options::governor budget must be > 0 records");
   }
   {
-    // And the happy path with both injected starts fine.
-    BgpStream::Options opt;
-    opt.prefetch_subsets = 2;
-    opt.max_records_in_flight = 64;
-    opt.executor = std::make_shared<Executor>(Executor::Options{.threads = 2});
-    opt.governor = std::make_shared<MemoryGovernor>(64);
-    EXPECT_TRUE(start_status(std::move(opt)).ok());
+    // And the happy paths with both injected start fine, with or
+    // without an explicit per-subset cap.
+    for (size_t cap : {size_t(0), size_t(64)}) {
+      BgpStream::Options opt;
+      opt.prefetch_subsets = 2;
+      opt.max_records_in_flight = cap;
+      opt.idle_reclaim_rounds = 10;
+      opt.executor =
+          std::make_shared<Executor>(Executor::Options{.threads = 2});
+      opt.governor = std::make_shared<MemoryGovernor>(64);
+      EXPECT_TRUE(StartStatus(std::move(opt)).ok()) << cap;
+    }
   }
 }
 
-// --- chunked-decode memory bound ------------------------------------------
+// --- per-subset memory bound ----------------------------------------------
 
 // Hands the whole file set to the stream in one batch, then ends.
 class VectorDataInterface : public DataInterface {
@@ -453,31 +375,32 @@ class ChunkedStressTest : public ::testing::Test {
     std::filesystem::remove_all(dir_, ec);
   }
 
-  StreamRun Run(BgpStream::Options options) {
+  StreamRun Run(std::unique_ptr<BgpStream> stream) {
     VectorDataInterface di(files_);
-    BgpStream stream(std::move(options));
-    stream.SetInterval(0, 4102444800);
-    stream.SetDataInterface(&di);
-    EXPECT_TRUE(stream.Start().ok());
-    return Drain(stream);
+    stream->SetInterval(0, 4102444800);
+    stream->SetDataInterface(&di);
+    EXPECT_TRUE(stream->Start().ok());
+    StreamRun run = Drain(*stream);
+    EXPECT_TRUE(stream->status().ok());
+    return run;
   }
+  StreamRun RunSync() { return Run(std::make_unique<BgpStream>()); }
 
   std::string dir_;
   std::vector<DumpFileMeta> files_;
 };
 
 TEST_F(ChunkedStressTest, BoundedBuffersStreamALargeSubsetIdentically) {
-  StreamRun sync = Run({});
+  StreamRun sync = RunSync();
   ASSERT_EQ(sync.records.size(), size_t(kFiles) * kRecordsPerFile);
   ASSERT_EQ(sync.subsets, 1u);  // fully overlapping: one giant subset
 
   constexpr size_t kBound = 120;  // 3 records per file vs 250 materialized
+  auto pool = MakePool();
   BgpStream::Options opt;
   opt.prefetch_subsets = 2;
-  opt.decode_threads = 2;
   opt.max_records_in_flight = kBound;
-  opt.extract_elems_in_workers = true;
-  StreamRun chunked = Run(std::move(opt));
+  StreamRun chunked = Run(pool->CreateStream(std::move(opt)));
 
   EXPECT_EQ(chunked.records, sync.records);
   EXPECT_EQ(chunked.elems, sync.elems);
@@ -534,14 +457,27 @@ TEST_F(ChunkedStressTest, ArenaCachedDecodeMatchesCacheFreeBaseline) {
   EXPECT_EQ(got, expect);
 }
 
-TEST_F(ChunkedStressTest, WholeFileModeMaterializesMoreThanChunkedMode) {
-  // Sanity-check the stat plumbing: whole-file mode reports no chunked
-  // buffering at all.
+// A stream wired to an executor and governor by hand, with the cap left
+// at 0, buffers up to the governor's capacity per subset — split across
+// the 40 files — and still emits exactly the synchronous stream.
+TEST_F(ChunkedStressTest, DefaultCapIsTheGovernorCapacity) {
+  StreamRun sync = RunSync();
+  ASSERT_EQ(sync.records.size(), size_t(kFiles) * kRecordsPerFile);
+
+  constexpr size_t kCapacity = 200;  // 5 records per file
+  auto governor = std::make_shared<MemoryGovernor>(kCapacity);
   BgpStream::Options opt;
   opt.prefetch_subsets = 2;
-  StreamRun whole = Run(std::move(opt));
-  EXPECT_EQ(whole.max_records_buffered, 0u);
-  EXPECT_EQ(whole.records.size(), size_t(kFiles) * kRecordsPerFile);
+  opt.executor = std::make_shared<Executor>(Executor::Options{.threads = 2});
+  opt.governor = governor;
+  StreamRun run = Run(std::make_unique<BgpStream>(std::move(opt)));
+
+  EXPECT_EQ(run.records, sync.records);
+  EXPECT_EQ(run.elems, sync.elems);
+  EXPECT_GT(run.max_records_buffered, 0u);
+  EXPECT_LE(run.max_records_buffered, kCapacity);
+  EXPECT_LE(governor->max_in_use(), kCapacity);
+  EXPECT_EQ(governor->in_use(), 0u);  // drained: every lease returned
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests of the multi-tenant StreamPool service layer: K concurrent
 // streams over disjoint archives on one shared Executor must produce
-// exactly the per-stream record/elem sequences K private pipelines
-// produce, while the MemoryGovernor keeps the *total* records buffered
+// exactly the per-stream record/elem sequences the synchronous stream
+// produces, while the MemoryGovernor keeps the *total* records buffered
 // across all tenants under one hard budget.
 #include <gtest/gtest.h>
 
@@ -146,21 +146,16 @@ class StreamPoolTest : public ::testing::Test {
     return Drain(*stream);
   }
 
-  // The reference: a private per-stream pipeline (PR-2 shape).
-  StreamRun RunPrivate(int t) {
-    BgpStream::Options opt;
-    opt.prefetch_subsets = 2;
-    opt.decode_threads = 1;
-    opt.extract_elems_in_workers = true;
-    opt.max_records_in_flight = 64;
-    return RunTenant(t, std::make_unique<BgpStream>(std::move(opt)));
+  // The reference: the synchronous stream (the byte-identity oracle).
+  StreamRun RunSync(int t) {
+    return RunTenant(t, std::make_unique<BgpStream>());
   }
 
   std::string dir_;
   std::vector<std::vector<DumpFileMeta>> archives_;
 };
 
-TEST_F(StreamPoolTest, SharedPoolStreamsMatchPrivatePipelines) {
+TEST_F(StreamPoolTest, SharedPoolStreamsMatchTheSyncStream) {
   StreamPool::Options popt;
   popt.threads = 4;
   popt.record_budget = 256;
@@ -168,13 +163,11 @@ TEST_F(StreamPoolTest, SharedPoolStreamsMatchPrivatePipelines) {
   ASSERT_TRUE(pool.ok());
 
   for (int t = 0; t < 3; ++t) {  // K = 3 sequential tenants, one pool
-    StreamRun expect = RunPrivate(t);
+    StreamRun expect = RunSync(t);
     ASSERT_EQ(expect.records.size(),
               size_t(kFilesPerTenant) * kRecordsPerFile);
 
-    BgpStream::Options opt;
-    opt.extract_elems_in_workers = true;
-    StreamRun got = RunTenant(t, (*pool)->CreateStream(std::move(opt)));
+    StreamRun got = RunTenant(t, (*pool)->CreateStream());
     EXPECT_EQ(got.records, expect.records) << "tenant " << t;
     EXPECT_EQ(got.elems, expect.elems) << "tenant " << t;
     EXPECT_TRUE(got.status.ok());
@@ -183,11 +176,11 @@ TEST_F(StreamPoolTest, SharedPoolStreamsMatchPrivatePipelines) {
   EXPECT_LE((*pool)->max_records_in_use(), 256u);
 }
 
-TEST_F(StreamPoolTest, ConcurrentTenantsMatchPrivatePipelinesOnOnePool) {
+TEST_F(StreamPoolTest, ConcurrentTenantsMatchTheSyncStreamOnOnePool) {
   // K = 4 streams over disjoint archives, one 4-thread Executor, one
   // global budget — the acceptance scenario.
   std::vector<StreamRun> expect;
-  for (int t = 0; t < kTenants; ++t) expect.push_back(RunPrivate(t));
+  for (int t = 0; t < kTenants; ++t) expect.push_back(RunSync(t));
 
   StreamPool::Options popt;
   popt.threads = 4;
@@ -200,9 +193,7 @@ TEST_F(StreamPoolTest, ConcurrentTenantsMatchPrivatePipelinesOnOnePool) {
     std::vector<std::thread> consumers;
     for (int t = 0; t < kTenants; ++t) {
       consumers.emplace_back([&, t] {
-        BgpStream::Options opt;
-        opt.extract_elems_in_workers = true;
-        got[size_t(t)] = RunTenant(t, (*pool)->CreateStream(std::move(opt)));
+        got[size_t(t)] = RunTenant(t, (*pool)->CreateStream());
       });
     }
     for (auto& c : consumers) c.join();
@@ -224,8 +215,8 @@ TEST_F(StreamPoolTest, GlobalBudgetBoundsBufferedRecordsUnderStress) {
   // A budget far below the tenants' combined appetite: every tenant's
   // subset wants kFilesPerTenant floors plus extras, and per-stream
   // max_records_in_flight (= budget by default) would allow 4× the
-  // budget if the governor did not exist. Every stream must still
-  // terminate with its full output.
+  // budget if the governor did not lease every buffered record. Every
+  // stream must still terminate with its full output.
   constexpr size_t kBudget = 40;
   StreamPool::Options popt;
   popt.threads = 3;
@@ -263,7 +254,7 @@ TEST_F(StreamPoolTest, VendedStreamDefaultsComeFromThePool) {
   ASSERT_TRUE(pool.ok());
   StreamRun run = RunTenant(0, (*pool)->CreateStream());
   EXPECT_EQ(run.records.size(), size_t(kFilesPerTenant) * kRecordsPerFile);
-  // Chunked decode was on (pool default: budget-bounded buffers).
+  // The default cap is the pool's whole budget.
   EXPECT_GT(run.max_records_buffered, 0u);
   EXPECT_LE(run.max_records_buffered, 96u);
 }
@@ -286,12 +277,12 @@ TEST_F(StreamPoolTest, BudgetSmallerThanSubsetFileCountFailsTheStream) {
             "per file");
 }
 
-TEST_F(StreamPoolTest, WeightedTenantsMatchPrivatePipelinesAndShowInStats) {
+TEST_F(StreamPoolTest, WeightedTenantsMatchTheSyncStreamAndShowInStats) {
   // A weight-4 "live" tenant sharing the pool with a weight-1 backfill:
   // scheduling weight changes *when* decode tasks run, never *what* the
   // streams emit.
-  StreamRun expect0 = RunPrivate(0);
-  StreamRun expect1 = RunPrivate(1);
+  StreamRun expect0 = RunSync(0);
+  StreamRun expect1 = RunSync(1);
 
   StreamPool::Options popt;
   popt.threads = 2;
@@ -299,11 +290,9 @@ TEST_F(StreamPoolTest, WeightedTenantsMatchPrivatePipelinesAndShowInStats) {
   auto pool = StreamPool::Create(popt);
   ASSERT_TRUE(pool.ok());
 
-  BgpStream::Options opt;
-  opt.extract_elems_in_workers = true;
-  auto live = (*pool)->CreateStream(opt, {.weight = 4, .name = "live"});
+  auto live = (*pool)->CreateStream({}, {.weight = 4, .name = "live"});
   auto backfill =
-      (*pool)->CreateStream(opt, {.weight = 1, .name = "backfill"});
+      (*pool)->CreateStream({}, {.weight = 1, .name = "backfill"});
 
   StreamRun got0, got1;
   {
@@ -361,7 +350,7 @@ TEST_F(StreamPoolTest, WeightedTenantsMatchPrivatePipelinesAndShowInStats) {
 }
 
 TEST_F(StreamPoolTest, IdleTenantReclaimReleasesBudgetAndPreservesOutput) {
-  StreamRun expect = RunPrivate(0);
+  StreamRun expect = RunSync(0);
 
   StreamPool::Options popt;
   popt.threads = 2;
@@ -369,10 +358,8 @@ TEST_F(StreamPoolTest, IdleTenantReclaimReleasesBudgetAndPreservesOutput) {
   auto pool = StreamPool::Create(popt);
   ASSERT_TRUE(pool.ok());
 
-  BgpStream::Options opt;
-  opt.extract_elems_in_workers = true;
   auto stream = (*pool)->CreateStream(
-      opt, {.weight = 1, .name = "victim", .idle_reclaim_rounds = 25});
+      {}, {.weight = 1, .name = "victim", .idle_reclaim_rounds = 25});
   VectorDataInterface di(archives_[0]);
   stream->SetInterval(0, 4102444800);
   stream->SetDataInterface(&di);
@@ -438,7 +425,7 @@ TEST_F(StreamPoolTest, IdleTenantReclaimReleasesBudgetAndPreservesOutput) {
   // Resume: the dropped records are re-decoded from the stored byte
   // checkpoints (SubmitUrgent + O(1) seek, no re-read of the consumed
   // prefix) and the full output is identical to the never-reclaimed
-  // private run.
+  // synchronous run.
   while (auto rec = stream->NextRecord()) {
     got.records.emplace_back(rec->timestamp, rec->collector,
                              int(rec->dump_type), int(rec->status),
@@ -496,13 +483,11 @@ TEST_F(StreamPoolTest, StatsSnapshotInvariantsHoldUnderConcurrentStreams) {
     std::vector<std::thread> consumers;
     for (int t = 0; t < kTenants; ++t) {
       consumers.emplace_back([&, t] {
-        BgpStream::Options opt;
-        opt.extract_elems_in_workers = true;
         StreamPool::TenantOptions topt;
         topt.weight = t == 0 ? 4 : 1;
         topt.name = "t" + std::to_string(t);
         got[size_t(t)] =
-            RunTenant(t, (*pool)->CreateStream(opt, std::move(topt)));
+            RunTenant(t, (*pool)->CreateStream({}, std::move(topt)));
       });
     }
     for (auto& c : consumers) c.join();
@@ -569,8 +554,7 @@ TEST_F(StreamPoolTest, StartRejectsBadTenantKnobsWithExactMessages) {
   }
   {
     BgpStream::Options opt;
-    opt.prefetch_subsets = 2;
-    opt.idle_reclaim_rounds = 10;  // whole-file mode: nothing to reclaim
+    opt.idle_reclaim_rounds = 10;  // synchronous: nothing to reclaim
     BgpStream stream(std::move(opt));
     VectorDataInterface di(archives_[0]);
     stream.SetInterval(0, 4102444800);
@@ -578,8 +562,9 @@ TEST_F(StreamPoolTest, StartRejectsBadTenantKnobsWithExactMessages) {
     Status st = stream.Start();
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.message(),
-              "Options::idle_reclaim_rounds requires max_records_in_flight "
-              "> 0 (only chunked-decode buffers can be reclaimed)");
+              "executor, governor, max_records_in_flight and "
+              "idle_reclaim_rounds require prefetch_subsets > 0 (the "
+              "synchronous path never decodes off-thread)");
   }
 }
 
@@ -595,14 +580,33 @@ TEST(StreamPoolCreateTest, RejectsZeroKnobsWithExactMessages) {
     EXPECT_EQ(pool.status().message(),
               "StreamPool requires record_budget > 0");
   }
-  {
-    auto pool = StreamPool::Create(
-        {.threads = 2, .record_budget = 64, .prefetch_subsets = 0});
-    ASSERT_FALSE(pool.ok());
-    EXPECT_EQ(pool.status().message(),
-              "StreamPool requires prefetch_subsets > 0 (vended streams "
-              "decode on the shared pool)");
-  }
+}
+
+// The one stats serializer bgpreader, bgpfanout and bgplive share:
+// every section and tenant field present, tenant names escaped.
+TEST(StreamPoolStatsJsonTest, EmitsEveryFieldAndEscapesTenantNames) {
+  StreamPool::Snapshot snap;
+  snap.executor = {.threads = 2, .tasks_run = 7, .dispatch_rounds = 5,
+                   .tenants = 1};
+  snap.governor = {.capacity = 64, .in_use = 3, .max_in_use = 9,
+                   .waiting = 1};
+  snap.streams_created = 4;
+  StreamPool::Snapshot::Tenant t;
+  t.name = std::string("a\"b\\c") + char(0x01) + "d";
+  t.weight = 4;
+  t.deadline = true;
+  t.stats = {.records_emitted = 11, .queue_depth = 2, .tasks_executed = 6,
+             .files_decoded = 3, .records_buffered = 8, .reclaims = 1};
+  snap.tenants.push_back(t);
+  EXPECT_EQ(SnapshotJson(snap),
+            "{\"executor\":{\"threads\":2,\"tasks_run\":7,"
+            "\"dispatch_rounds\":5,\"tenants\":1},"
+            "\"governor\":{\"capacity\":64,\"in_use\":3,\"max_in_use\":9,"
+            "\"waiting\":1},\"streams_created\":4,"
+            "\"tenants\":[{\"name\":\"a\\\"b\\\\c\\u0001d\",\"weight\":4,"
+            "\"deadline\":true,\"queue_depth\":2,\"tasks_executed\":6,"
+            "\"files_decoded\":3,\"records_buffered\":8,"
+            "\"records_emitted\":11,\"reclaims\":1}]}");
 }
 
 }  // namespace

@@ -102,13 +102,8 @@ const Corpus& GetCorpus() {
     }
     c->files = index.files();
 
-    // Sync reference: the PR-2 private pipeline shape.
-    BgpStream::Options opt;
-    opt.prefetch_subsets = 2;
-    opt.decode_threads = 1;
-    opt.extract_elems_in_workers = true;
-    opt.max_records_in_flight = 64;
-    BgpStream stream(std::move(opt));
+    // Reference: the synchronous stream (the byte-identity oracle).
+    BgpStream stream;
     VectorDataInterface di(c->files);
     stream.SetInterval(0, 4102444800);
     stream.SetDataInterface(&di);
@@ -176,13 +171,10 @@ TEST_F(StreamStressTest, FourTenantsTightBudgetMatchTheSyncPath) {
     std::vector<std::thread> consumers;
     for (int t = 0; t < kTenants; ++t) {
       consumers.emplace_back([&, t] {
-        BgpStream::Options opt;
-        opt.extract_elems_in_workers = true;
         StreamPool::TenantOptions topt;
         topt.weight = size_t(t) + 1;  // asymmetric service rates
         topt.name = "stress-" + std::to_string(t);
-        got[size_t(t)] =
-            RunTenant((*pool)->CreateStream(std::move(opt), topt));
+        got[size_t(t)] = RunTenant((*pool)->CreateStream({}, topt));
       });
     }
     for (auto& c : consumers) c.join();
@@ -213,10 +205,8 @@ TEST_F(StreamStressTest, PausedTenantIsReclaimedUnderCorpusLoadThenResumes) {
   ASSERT_TRUE(pool.ok());
 
   // The victim: drains a little, then parks with its buffers loaded.
-  BgpStream::Options vopt;
-  vopt.extract_elems_in_workers = true;
   auto victim = (*pool)->CreateStream(
-      vopt, {.weight = 1, .name = "parked", .idle_reclaim_rounds = 10});
+      {}, {.weight = 1, .name = "parked", .idle_reclaim_rounds = 10});
   VectorDataInterface vdi(corpus.files);
   victim->SetInterval(0, 4102444800);
   victim->SetDataInterface(&vdi);
@@ -252,13 +242,10 @@ TEST_F(StreamStressTest, PausedTenantIsReclaimedUnderCorpusLoadThenResumes) {
     std::vector<std::thread> consumers;
     for (int t = 0; t < 2; ++t) {
       consumers.emplace_back([&, t] {
-        BgpStream::Options opt;
-        opt.extract_elems_in_workers = true;
         StreamPool::TenantOptions topt;
         topt.weight = 2;
         topt.name = "rival-" + std::to_string(t);
-        rivals[size_t(t)] =
-            RunTenant((*pool)->CreateStream(std::move(opt), topt));
+        rivals[size_t(t)] = RunTenant((*pool)->CreateStream({}, topt));
       });
     }
     for (auto& c : consumers) c.join();

@@ -175,6 +175,38 @@ TEST(Time, AlignToBin) {
   EXPECT_EQ(AlignToBin(1458000120, 60), 1458000120);
 }
 
+TEST(Time, ParseTimeWindow) {
+  auto closed = ParseTimeWindow("1451606400,1451610000");
+  ASSERT_TRUE(closed.ok());
+  EXPECT_EQ(closed->start, 1451606400);
+  EXPECT_EQ(closed->end, 1451610000);
+  auto live = ParseTimeWindow("1451606400");
+  ASSERT_TRUE(live.ok());
+  EXPECT_EQ(live->start, 1451606400);
+  EXPECT_TRUE(live->live());
+
+  // Every token must be whole non-negative seconds; END > START.
+  const std::pair<const char*, const char*> bad[] = {
+      {"", "START must be whole UNIX seconds, got \"\""},
+      {"foo", "START must be whole UNIX seconds, got \"foo\""},
+      {"1451606400x", "START must be whole UNIX seconds, got \"1451606400x\""},
+      {"-5", "START must be whole UNIX seconds, got \"-5\""},
+      {"99999999999999999999",
+       "START must be whole UNIX seconds, got \"99999999999999999999\""},
+      {"1451606400,abc", "END must be whole UNIX seconds, got \"abc\""},
+      {"1451606400,", "END must be whole UNIX seconds, got \"\""},
+      {"1,2,3", "END must be whole UNIX seconds, got \"2,3\""},
+      {"5,5", "window must have END > START"},
+      {"6,5", "window must have END > START"},
+  };
+  for (const auto& [text, message] : bad) {
+    auto w = ParseTimeWindow(text);
+    ASSERT_FALSE(w.ok()) << text;
+    EXPECT_EQ(w.status().code(), StatusCode::InvalidArgument) << text;
+    EXPECT_EQ(w.status().message(), message) << text;
+  }
+}
+
 TEST(Strings, Split) {
   auto parts = SplitString("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);

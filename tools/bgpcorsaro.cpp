@@ -64,10 +64,11 @@ int main(int argc, char** argv) {
     } else if (arg == "-w") {
       const char* v = need_value();
       if (!v) return fail("-w needs START,END");
-      char* rest = nullptr;
-      start = std::strtoll(v, &rest, 10);
-      if (!rest || *rest != ',') return fail("-w needs START,END");
-      end = std::strtoll(rest + 1, nullptr, 10);
+      Result<TimeInterval> window = ParseTimeWindow(v);
+      if (!window.ok()) return fail("-w " + window.status().message());
+      if (window->live()) return fail("-w needs START,END");
+      start = window->start;
+      end = window->end;
     } else if (arg == "-b") {
       const char* v = need_value();
       if (!v) return fail("-b needs seconds");

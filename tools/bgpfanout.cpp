@@ -76,57 +76,6 @@ volatile std::sig_atomic_t g_signal = 0;
 
 void OnSignal(int sig) { g_signal = sig; }
 
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// One pool snapshot as a single-line JSON object — same section names
-// as bgpreader --pool-stats-json, so one scraper handles both.
-std::string SnapshotJson(const StreamPool::Snapshot& snap) {
-  std::string buf;
-  buf += "{\"executor\":{\"threads\":" +
-         std::to_string(snap.executor.threads) +
-         ",\"tasks_run\":" + std::to_string(snap.executor.tasks_run) +
-         ",\"dispatch_rounds\":" +
-         std::to_string(snap.executor.dispatch_rounds) +
-         ",\"tenants\":" + std::to_string(snap.executor.tenants) + "}";
-  buf += ",\"governor\":{\"capacity\":" +
-         std::to_string(snap.governor.capacity) +
-         ",\"in_use\":" + std::to_string(snap.governor.in_use) +
-         ",\"max_in_use\":" + std::to_string(snap.governor.max_in_use) +
-         ",\"waiting\":" + std::to_string(snap.governor.waiting) + "}";
-  buf += ",\"streams_created\":" + std::to_string(snap.streams_created);
-  buf += ",\"tenants\":[";
-  for (size_t i = 0; i < snap.tenants.size(); ++i) {
-    const auto& t = snap.tenants[i];
-    if (i > 0) buf += ",";
-    buf += "{\"name\":\"" + JsonEscape(t.name) + "\"";
-    buf += ",\"records_emitted\":" +
-           std::to_string(t.stats.records_emitted);
-    buf += ",\"records_buffered\":" +
-           std::to_string(t.stats.records_buffered);
-    buf += ",\"files_decoded\":" + std::to_string(t.stats.files_decoded) +
-           "}";
-  }
-  buf += "]}";
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -160,12 +109,11 @@ int main(int argc, char** argv) {
     } else if (arg == "-w") {
       const char* v = need_value();
       if (!v) return fail("-w needs START,END");
-      char* rest = nullptr;
-      window_start = std::strtoll(v, &rest, 10);
-      if (!rest || *rest != ',') return fail("-w needs START,END");
-      window_end = std::strtoll(rest + 1, nullptr, 10);
-      if (window_end <= window_start)
-        return fail("-w window must have END > START");
+      Result<TimeInterval> window = ParseTimeWindow(v);
+      if (!window.ok()) return fail("-w " + window.status().message());
+      if (window->live()) return fail("-w needs START,END");
+      window_start = window->start;
+      window_end = window->end;
     } else if (arg == "--listen") {
       const char* v = need_value();
       if (!v) return fail("--listen needs a port");

@@ -60,57 +60,6 @@ output:
              stderr);
 }
 
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  for (char c : in) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// Same shape as bgpreader --pool-stats-json / bgpfanout's stats topic,
-// so one scraper handles all three front ends.
-std::string SnapshotJson(const StreamPool::Snapshot& snap) {
-  std::string buf;
-  buf += "{\"executor\":{\"threads\":" +
-         std::to_string(snap.executor.threads) +
-         ",\"tasks_run\":" + std::to_string(snap.executor.tasks_run) +
-         ",\"dispatch_rounds\":" +
-         std::to_string(snap.executor.dispatch_rounds) +
-         ",\"tenants\":" + std::to_string(snap.executor.tenants) + "}";
-  buf += ",\"governor\":{\"capacity\":" +
-         std::to_string(snap.governor.capacity) +
-         ",\"in_use\":" + std::to_string(snap.governor.in_use) +
-         ",\"max_in_use\":" + std::to_string(snap.governor.max_in_use) +
-         ",\"waiting\":" + std::to_string(snap.governor.waiting) + "}";
-  buf += ",\"streams_created\":" + std::to_string(snap.streams_created);
-  buf += ",\"tenants\":[";
-  for (size_t i = 0; i < snap.tenants.size(); ++i) {
-    const auto& t = snap.tenants[i];
-    if (i > 0) buf += ",";
-    buf += "{\"name\":\"" + JsonEscape(t.name) + "\"";
-    buf += ",\"records_emitted\":" +
-           std::to_string(t.stats.records_emitted);
-    buf += ",\"records_buffered\":" +
-           std::to_string(t.stats.records_buffered);
-    buf += ",\"files_decoded\":" + std::to_string(t.stats.files_decoded) +
-           "}";
-  }
-  buf += "]}";
-  return buf;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {

@@ -11,7 +11,7 @@
 //
 // --pool-threads routes the stream through a bgps::StreamPool — the
 // same shared decode runtime a multi-tenant service would use — instead
-// of a private synchronous pipeline; --pool-budget / --pool-weight /
+// of the synchronous pipeline; --pool-budget / --pool-weight /
 // --pool-deadline / --pool-stats-interval / --pool-stats-json /
 // --pool-stats-file tune and introspect it (and require --pool-threads:
 // they have no meaning without the pool).
@@ -90,28 +90,6 @@ output:
              stderr);
 }
 
-// Minimal JSON string escaping (quotes, backslashes, control chars) for
-// tenant names in the --pool-stats-json output.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 // One stats snapshot to `out` (stderr, or the --pool-stats-file sink):
 // human-readable lines prefixed "[pool]", or (json) exactly one JSON
 // object per snapshot on one line — the machine-scrapable form
@@ -120,35 +98,7 @@ std::string JsonEscape(const std::string& s) {
 void DumpPoolStats(const StreamPool& pool, bool json, std::FILE* out) {
   StreamPool::Snapshot snap = pool.Stats();
   if (json) {
-    std::string buf;
-    buf += "{\"executor\":{\"threads\":" +
-           std::to_string(snap.executor.threads) +
-           ",\"tasks_run\":" + std::to_string(snap.executor.tasks_run) +
-           ",\"dispatch_rounds\":" +
-           std::to_string(snap.executor.dispatch_rounds) +
-           ",\"tenants\":" + std::to_string(snap.executor.tenants) + "}";
-    buf += ",\"governor\":{\"capacity\":" +
-           std::to_string(snap.governor.capacity) +
-           ",\"in_use\":" + std::to_string(snap.governor.in_use) +
-           ",\"max_in_use\":" + std::to_string(snap.governor.max_in_use) +
-           ",\"waiting\":" + std::to_string(snap.governor.waiting) + "}";
-    buf += ",\"streams_created\":" + std::to_string(snap.streams_created);
-    buf += ",\"tenants\":[";
-    for (size_t i = 0; i < snap.tenants.size(); ++i) {
-      const auto& t = snap.tenants[i];
-      if (i > 0) buf += ",";
-      buf += "{\"name\":\"" + JsonEscape(t.name) + "\"";
-      buf += ",\"weight\":" + std::to_string(t.weight);
-      buf += std::string(",\"deadline\":") + (t.deadline ? "true" : "false");
-      buf += ",\"queue_depth\":" + std::to_string(t.stats.queue_depth);
-      buf += ",\"tasks_executed\":" + std::to_string(t.stats.tasks_executed);
-      buf += ",\"files_decoded\":" + std::to_string(t.stats.files_decoded);
-      buf +=
-          ",\"records_buffered\":" + std::to_string(t.stats.records_buffered);
-      buf += ",\"records_emitted\":" + std::to_string(t.stats.records_emitted);
-      buf += ",\"reclaims\":" + std::to_string(t.stats.reclaims) + "}";
-    }
-    buf += "]}\n";
+    std::string buf = SnapshotJson(snap) + "\n";
     std::fputs(buf.c_str(), out);
     std::fflush(out);
     return;
@@ -208,11 +158,10 @@ int main(int argc, char** argv) {
     } else if (arg == "-w") {
       const char* v = need_value();
       if (!v) return fail("-w needs START[,END]");
-      char* rest = nullptr;
-      start = std::strtoll(v, &rest, 10);
-      if (rest && *rest == ',') {
-        end = std::strtoll(rest + 1, nullptr, 10);
-      }
+      Result<TimeInterval> window = ParseTimeWindow(v);
+      if (!window.ok()) return fail("-w " + window.status().message());
+      start = window->start;
+      end = window->end;
       have_window = true;
     } else if (arg == "-t") {
       const char* v = need_value();
@@ -304,8 +253,8 @@ int main(int argc, char** argv) {
   }
 
   // The pool tuning/introspection flags are meaningless without the
-  // shared decode runtime — fail loudly rather than silently running a
-  // private pipeline the flags never touch.
+  // shared decode runtime — fail loudly rather than silently running the
+  // synchronous pipeline the flags never touch.
   if (pool_threads == 0) {
     if (pool_budget > 0)
       return fail("--pool-budget requires --pool-threads (the shared "
