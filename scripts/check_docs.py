@@ -16,6 +16,11 @@
    so a stale binary (or a build that somehow diverges from the tree)
    would otherwise pass silently; each leg is skipped with a notice
    when no binary exists (e.g. docs-only CI).
+4. Option tables: the `BgpStream::Options`, `StreamPool::Options` and
+   `TenantOptions` tables in docs/API.md list exactly the fields those
+   structs declare in src/core/stream.hpp and src/pool/stream_pool.hpp
+   — a row for a field that does not exist fails, and so does a field
+   without a row.
 
 Exit code 0 = clean; 1 = problems (each printed as its own line).
 """
@@ -144,8 +149,87 @@ def check_help_text() -> list[str]:
     return problems
 
 
+# (struct, header declaring it, regex anchoring its table in API.md).
+# The table is the first markdown table after the anchor.
+OPTION_TABLES = [
+    ("BgpStream::Options", "src/core/stream.hpp",
+     r"^## `BgpStream::Options`$"),
+    ("StreamPool::Options", "src/pool/stream_pool.hpp",
+     r"^`StreamPool::Options`:$"),
+    ("TenantOptions", "src/pool/stream_pool.hpp", r"^`TenantOptions`:$"),
+]
+
+
+def struct_fields(header: str, struct: str) -> list[str] | None:
+    """Data members of `struct <name> { ... };` in a header, in order."""
+    name = struct.split("::")[-1]
+    m = re.search(rf"\bstruct {name} \{{", header)
+    if not m:
+        return None
+    depth, i = 1, m.end()
+    while depth and i < len(header):
+        depth += {"{": 1, "}": -1}.get(header[i], 0)
+        i += 1
+    body = re.sub(r"//[^\n]*", "", header[m.end():i - 1])
+    fields = []
+    for stmt in body.split(";"):
+        # Drop a default member initializer (`= v` or `{v}`).
+        decl = re.sub(r"\{[^{}]*\}$", "", stmt.split("=", 1)[0].strip())
+        if decl and not decl.endswith(")"):  # member functions end in ')'
+            fields.append(re.findall(r"\w+", decl)[-1])
+    return fields
+
+
+def table_fields(doc: str, anchor: str) -> list[str] | None:
+    """First-column `names` of the first table after `anchor`."""
+    m = re.search(anchor, doc, re.MULTILINE)
+    if not m:
+        return None
+    rows = []
+    for line in doc[m.end():].splitlines():
+        if line.startswith("|"):
+            rows.append(line)
+        elif rows:
+            break
+    fields = []
+    for row in rows[2:]:  # skip the header and separator rows
+        cell = re.match(r"\|\s*`([^`]+)`", row)
+        if cell:
+            fields.append(cell.group(1))
+    return fields
+
+
+def check_option_tables() -> list[str]:
+    doc = (REPO / "docs" / "API.md").read_text(encoding="utf-8")
+    problems = []
+    for struct, header_rel, anchor in OPTION_TABLES:
+        header = (REPO / header_rel).read_text(encoding="utf-8")
+        declared = struct_fields(header, struct)
+        if declared is None:
+            problems.append(f"{header_rel}: struct {struct} not found")
+            continue
+        rows = table_fields(doc, anchor)
+        if rows is None:
+            problems.append(f"docs/API.md: no {struct} table")
+            continue
+        for field in rows:
+            if field not in declared:
+                problems.append(
+                    f"docs/API.md: {struct} table has a row for `{field}`, "
+                    f"which {header_rel} does not declare"
+                )
+        for field in declared:
+            if field not in rows:
+                problems.append(
+                    f"docs/API.md: {struct} field `{field}` "
+                    f"({header_rel}) has no row in its table"
+                )
+    return problems
+
+
 def main() -> int:
-    problems = check_links() + check_pool_flags() + check_help_text()
+    problems = (check_links() + check_pool_flags() + check_help_text() +
+                check_option_tables())
     for p in problems:
         print(p)
     if problems:
@@ -153,7 +237,8 @@ def main() -> int:
         return 1
     print(
         f"docs OK: {len(MARKDOWN_FILES)} markdown files, links, "
-        "bgpreader --pool-* flags and tool --help text consistent"
+        "bgpreader --pool-* flags, tool --help text and API.md option "
+        "tables consistent"
     )
     return 0
 

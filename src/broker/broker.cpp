@@ -16,7 +16,7 @@ Timestamp WallClock() {
 Broker::Broker(std::string archive_root, Options options)
     : index_(std::move(archive_root)), options_(std::move(options)) {
   if (!options_.clock) options_.clock = WallClock;
-  (void)index_.Rescan();
+  scan_status_ = index_.Rescan();
 }
 
 bool Broker::Matches(const BrokerQuery& q, const DumpFileMeta& f) const {

@@ -58,7 +58,11 @@ class Broker {
   explicit Broker(std::string archive_root, Options options = {});
 
   // Re-scrapes the archive (live mode calls this before each poll).
-  Status Rescan() { return index_.Rescan(); }
+  Status Rescan() { return scan_status_ = index_.Rescan(); }
+
+  // Outcome of the latest scrape, the constructor's included: NotFound
+  // ("archive root <path>") when the root does not exist.
+  const Status& scan_status() const { return scan_status_; }
 
   const ArchiveIndex& index() const { return index_; }
 
@@ -80,6 +84,7 @@ class Broker {
   std::string Rewrite(const std::string& path);
 
   ArchiveIndex index_;
+  Status scan_status_;
   Options options_;
   size_t queries_served_ = 0;
   size_t mirror_rr_ = 0;

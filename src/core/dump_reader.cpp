@@ -11,32 +11,6 @@ DumpReader::DumpReader(broker::DumpFileMeta meta) : meta_(std::move(meta)) {
   if (!st.ok()) open_failed_ = true;
 }
 
-DumpReader::DumpReader(broker::DumpFileMeta meta, const Checkpoint& resume)
-    : meta_(std::move(meta)) {
-  project_ = meta_.project;
-  collector_ = meta_.collector;
-  // Precondition: resume.valid (see the header). The sole caller —
-  // FillChunked's reclaim resume — branches to the plain constructor
-  // plus Skip() itself for checkpoints with no byte position.
-  // O(1): land directly on the checkpointed frame. The records in
-  // front of it are never read again.
-  Status st = reader_.Open(meta_.path, resume.byte_offset);
-  if (!st.ok()) {
-    if (resume.index > 0) {
-      // The dump vanished mid-stream (archive rotation): end silently,
-      // matching the Skip-fallback path (skipped < consumed ⇒
-      // exhausted) instead of injecting a CorruptedDump record into a
-      // sequence whose open already succeeded once.
-      done_ = true;
-    } else {
-      open_failed_ = true;  // nothing consumed yet: behave like a fresh open
-    }
-  }
-  peer_index_ = resume.peer_index;
-  produced_ = resume.index;
-  started_ = resume.index > 0;
-}
-
 Record DumpReader::MakeRecord() const {
   Record rec;
   rec.project = project_;
@@ -48,16 +22,9 @@ Record DumpReader::MakeRecord() const {
 }
 
 std::optional<Record> DumpReader::Produce() {
-  // Capture the record's resume point before framing moves the file
-  // position: its byte offset, index, and the peer-index table in
-  // effect before it (re-producing a PEER_INDEX_TABLE record from its
-  // own checkpoint simply re-ingests the same table).
-  lookahead_cp_ = {/*valid=*/!open_failed_, reader_.offset(), produced_,
-                   peer_index_};
   if (open_failed_) {
     if (emitted_open_failure_) return std::nullopt;
     emitted_open_failure_ = true;
-    ++produced_;
     Record rec = MakeRecord();
     rec.status = RecordStatus::CorruptedDump;
     return rec;
@@ -67,13 +34,11 @@ std::optional<Record> DumpReader::Produce() {
     if (raw.status().code() == StatusCode::EndOfStream) return std::nullopt;
     // Framing broke: emit one CorruptedDump record; reader will then report
     // EndOfStream (no resync possible in MRT).
-    ++produced_;
     Record rec = MakeRecord();
     rec.status = RecordStatus::CorruptedDump;
     return rec;
   }
 
-  ++produced_;
   Record rec = MakeRecord();
   rec.timestamp = raw->timestamp;
   auto msg = mrt::DecodeRecord(*raw, &decode_ctx_);
@@ -104,54 +69,6 @@ std::optional<Timestamp> DumpReader::PeekTimestamp() {
   return lookahead_->timestamp;
 }
 
-size_t DumpReader::Skip(size_t n) {
-  size_t skipped = 0;
-  while (skipped < n && !done_) {
-    if (lookahead_) {
-      lookahead_.reset();
-      started_ = true;
-      ++skipped;
-      continue;
-    }
-    // Mirror Produce()'s record cadence without the BGP decode.
-    if (open_failed_) {
-      if (emitted_open_failure_) {
-        done_ = true;
-        break;
-      }
-      emitted_open_failure_ = true;  // the single CorruptedDump record
-      started_ = true;
-      ++produced_;
-      ++skipped;
-      continue;
-    }
-    auto raw = reader_.Next();
-    if (!raw.ok()) {
-      if (raw.status().code() == StatusCode::EndOfStream) {
-        done_ = true;
-        break;
-      }
-      started_ = true;  // the one CorruptedDump record framing yields
-      ++produced_;
-      ++skipped;
-      continue;
-    }
-    if (raw->type == uint16_t(mrt::MrtType::TableDumpV2) &&
-        raw->subtype == uint16_t(mrt::TableDumpV2Subtype::PeerIndexTable)) {
-      // RIB records after the skip still need the table to decompose.
-      auto msg = mrt::DecodeRecord(*raw);
-      if (msg.ok() && msg->is_peer_index()) {
-        peer_index_ = std::make_shared<mrt::PeerIndexTable>(
-            std::get<mrt::PeerIndexTable>(msg->body));
-      }
-    }
-    started_ = true;
-    ++produced_;
-    ++skipped;
-  }
-  return skipped;
-}
-
 std::optional<Record> DumpReader::Next() {
   if (done_) return std::nullopt;
   if (!lookahead_) {
@@ -162,7 +79,6 @@ std::optional<Record> DumpReader::Next() {
     }
   }
   Record out = std::move(*lookahead_);
-  last_cp_ = lookahead_cp_;  // before Produce overwrites it
   lookahead_ = Produce();
   if (!started_) {
     out.position = DumpPosition::Start;

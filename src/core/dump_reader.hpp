@@ -26,35 +26,10 @@ using FileOpenHook = std::function<void(const broker::DumpFileMeta&)>;
 
 class DumpReader {
  public:
-  // An O(1) resume point: everything needed to reconstruct a reader
-  // positioned exactly before a given record — without re-reading (or
-  // re-Skip()ping) the records in front of it. Captured per record via
-  // last_checkpoint(); consumed by the resuming constructor below.
-  // Idle-tenant reclaim stores the checkpoint of the first dropped
-  // record so resume seeks instead of re-framing the consumed prefix.
-  struct Checkpoint {
-    // False when the record had no byte position (the synthesized
-    // open-failure record); resume then falls back to Skip().
-    bool valid = false;
-    uint64_t byte_offset = 0;  // frame position of the record
-    size_t index = 0;          // 0-based record index in the dump
-    // Peer index table in effect *before* the record (RIB dumps); the
-    // table is immutable once built, so sharing it is free.
-    std::shared_ptr<const mrt::PeerIndexTable> peer_index;
-  };
-
   // `meta` identifies the dump; opening failures yield a single
   // CorruptedDump record (the paper marks a record not-valid "when the BGP
   // dump file cannot be opened").
   explicit DumpReader(broker::DumpFileMeta meta);
-
-  // Resumes at `resume` — precondition: `resume.valid` (callers handle
-  // invalid checkpoints with the plain constructor + Skip()). Seeks
-  // straight to the checkpointed frame, restores the peer-index table,
-  // and continues producing record `resume.index` onward — the exact
-  // sequence the original reader would have produced, Start/End
-  // positions included.
-  DumpReader(broker::DumpFileMeta meta, const Checkpoint& resume);
 
   const broker::DumpFileMeta& meta() const { return meta_; }
 
@@ -63,27 +38,6 @@ class DumpReader {
 
   // Next record, or nullopt when the dump is exhausted.
   std::optional<Record> Next();
-
-  // Skips the next `n` records without decoding their BGP payloads —
-  // the resume path of idle-tenant reclaim, where the consumer already
-  // saw them. Each raw framing unit counts as one record, exactly
-  // Next()'s cadence (including the CorruptedDump / CorruptedRecord /
-  // Unsupported and open-failure records), and PEER_INDEX_TABLE
-  // records are still ingested so RIB decomposition after the skip
-  // sees its table. Returns how many were skipped; < n means the dump
-  // ended early.
-  size_t Skip(size_t n);
-
-  // Resume point of the record most recently returned by Next():
-  // feeding it to the resuming constructor yields a reader that
-  // re-produces that record and everything after it. Meaningless before
-  // the first Next().
-  const Checkpoint& last_checkpoint() const { return last_cp_; }
-
-  // Raw frames read from the file so far — the resume path's read
-  // accounting: a seek-resumed reader frames only what it produces,
-  // a Skip-resumed one re-frames the whole consumed prefix.
-  size_t frames_read() const { return reader_.records_read(); }
 
   // Peer index table seen in this file (RIB dumps), for elem extraction.
   const mrt::PeerIndexTable* peer_index() const { return peer_index_.get(); }
@@ -110,10 +64,6 @@ class DumpReader {
   InternedString collector_;
   std::shared_ptr<const mrt::PeerIndexTable> peer_index_;
   std::optional<Record> lookahead_;
-  Checkpoint lookahead_cp_;  // resume point of the lookahead record
-  Checkpoint last_cp_;       // resume point of the last Next() record
-  size_t produced_ = 0;      // records produced from the file so far
-                             // (= the next record's 0-based index)
   bool started_ = false;
   bool done_ = false;
   bool open_failed_ = false;

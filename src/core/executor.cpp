@@ -1,11 +1,8 @@
 #include "core/executor.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <unordered_map>
 
@@ -16,19 +13,9 @@ namespace {
 // the low band so every urgent task sorts ahead of every normal one;
 // within a band, earlier submissions sort first.
 constexpr uint64_t kNormalBand = uint64_t(1) << 63;
-
-// Reclaim marks age at most once per this interval, however many
-// contention signals arrive in it — so N waiters parking at once (or
-// several hooks fanning one event out) cannot collapse a tenant's
-// idle_rounds patience window. Matches the governor's re-signal
-// cadence: under stall, patience ≈ idle_rounds × this interval. A
-// clock *read* only — the executor still never wakes on a timer.
-constexpr std::chrono::milliseconds kReclaimAgeStep{10};
 }  // namespace
 
-// One tenant's strictly-FIFO queue. Guarded by SharedState::mu except
-// the atomics, which NoteActivity writes lock-free from consumer
-// threads.
+// One tenant's strictly-FIFO queue. Guarded by SharedState::mu.
 struct Executor::Tenant::Queue {
   struct Task {
     std::function<void()> fn;
@@ -51,29 +38,6 @@ struct Executor::Tenant::Queue {
   bool deadline = false;
 
   size_t tasks_run = 0;  // per-tenant completion counter (stats)
-
-  // Idle-reclaim policy (SetIdleReclaim). `last_activity` is the round
-  // of the last NoteActivity; `reclaim_fired` keeps the callback from
-  // re-firing until activity re-arms it.
-  size_t idle_rounds = 0;  // 0 = no policy
-  std::function<void()> reclaim_cb;
-  std::atomic<size_t> last_activity{0};
-  std::atomic<bool> reclaim_fired{false};
-  // Monotonic NoteActivity counter — unlike last_activity (a round
-  // stamp, frozen while the pool stalls) this distinguishes "popped
-  // between two contention signals" from "paused", which is what the
-  // waiter-driven mark/confirm reclaim keys on.
-  std::atomic<uint64_t> activity_seq{0};
-  // Mark/confirm state for RequestReclaimTick (guarded by mu): a first
-  // signal snapshots activity_seq; each later signal that still finds
-  // the snapshot unchanged ages the mark by one. The tenant only
-  // becomes reclaimable once the mark's age reaches idle_rounds — the
-  // contention re-signals stand in for dispatch rounds while the pool
-  // is stalled, so the configured patience is honored in both clock
-  // domains. Any activity resets the mark.
-  bool reclaim_marked = false;
-  uint64_t reclaim_mark_seq = 0;
-  size_t reclaim_mark_age = 0;
 };
 
 // Shared between the Executor facade, the workers, and every Tenant —
@@ -93,11 +57,7 @@ struct Executor::Tenant::SharedState {
   size_t rr = 0;  // round-robin cursor into `queues`
   uint64_t next_seq = 1;  // enqueue-stamp counter (both bands)
   size_t tasks_run = 0;
-  size_t reclaim_policies = 0;  // queues with an idle-reclaim policy
-  std::atomic<size_t> rounds{0};  // completed dispatch-cursor rotations
-  // Last time a reclaim pass aged the marks (rate limit, see
-  // kReclaimAgeStep).
-  std::chrono::steady_clock::time_point last_reclaim_age_step{};
+  size_t rounds = 0;  // completed dispatch-cursor rotations
   bool stopping = false;
 
   // Caller holds mu.
@@ -113,67 +73,6 @@ struct Executor::Tenant::SharedState {
     members.erase(std::remove(members.begin(), members.end(), q),
                   members.end());
     if (members.empty()) deadline_classes.erase(it);
-  }
-
-  // The waiter-driven reclaim trigger's mark/confirm pass (see the
-  // header comment on Executor::RequestReclaimTick). Caller holds mu;
-  // due callbacks are appended for the caller to invoke with the lock
-  // released. Returns whether a tenant fired.
-  bool ProcessReclaimTickLocked(std::vector<std::function<void()>>& due) {
-    if (reclaim_policies == 0) return false;  // nothing to mark or fire
-    // Age at most once per kReclaimAgeStep, no matter how many signals
-    // a contention burst (several waiters parking at once, fanned-out
-    // hooks) delivers: patience must mean wall-bounded intervals of
-    // sustained contention, not a signal count an Acquire storm can
-    // inflate.
-    auto now = std::chrono::steady_clock::now();
-    bool age_step = now - last_reclaim_age_step >= kReclaimAgeStep;
-    if (age_step) last_reclaim_age_step = now;
-    std::shared_ptr<Queue> pick;
-    size_t pick_deadline = std::numeric_limits<size_t>::max();
-    for (const auto& q : queues) {
-      if (q->closed || q->idle_rounds == 0 || !q->reclaim_cb) continue;
-      if (q->reclaim_fired.load(std::memory_order_relaxed)) continue;
-      size_t seq = q->activity_seq.load(std::memory_order_relaxed);
-      if (!q->reclaim_marked || q->reclaim_mark_seq != seq) {
-        // Unmarked, or active since the mark: (re)mark — the
-        // inactivity window restarts from this signal.
-        q->reclaim_marked = true;
-        q->reclaim_mark_seq = seq;
-        q->reclaim_mark_age = 0;
-        continue;
-      }
-      if (age_step) ++q->reclaim_mark_age;
-      if (q->reclaim_mark_age < q->idle_rounds) continue;  // patience not met
-      size_t deadline =
-          q->last_activity.load(std::memory_order_relaxed) + q->idle_rounds;
-      if (deadline < pick_deadline) {
-        pick_deadline = deadline;
-        pick = q;
-      }
-    }
-    if (!pick) return false;
-    pick->reclaim_fired.store(true, std::memory_order_relaxed);
-    pick->reclaim_marked = false;
-    due.push_back(pick->reclaim_cb);
-    return true;
-  }
-
-  // Runs a mark/confirm pass inline on the signaling thread
-  // (Executor::RequestReclaimTick). Inline — not deferred to an idle
-  // worker — because the signal's whole purpose is to free budget for
-  // a *blocked* Acquire: when every worker is itself parked in such an
-  // Acquire (a reclaimed file's floor re-acquisition), there is no
-  // idle worker left to defer to, and the waiter's own re-signal must
-  // be able to peel the stalest tenant loose.
-  void RequestReclaimTick() {
-    std::vector<std::function<void()>> due;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      ProcessReclaimTickLocked(due);
-    }
-    // Callbacks take their owners' locks: invoke with mu released.
-    for (auto& cb : due) cb();
   }
 };
 
@@ -196,36 +95,6 @@ Executor::~Executor() {
 }
 
 void Executor::WorkerLoop(const std::shared_ptr<Tenant::SharedState>& st) {
-  // Due reclaim callbacks are collected under the lock and invoked with
-  // it released (they take the callback owner's locks).
-  std::vector<std::function<void()>> due_reclaims;
-  auto collect_due_reclaims = [&st, &due_reclaims] {
-    if (st->reclaim_policies == 0) return;  // keep the hot path scan-free
-    size_t now = st->rounds.load(std::memory_order_relaxed);
-    for (auto& q : st->queues) {
-      if (q->closed || q->idle_rounds == 0 || !q->reclaim_cb) continue;
-      if (q->reclaim_fired.load(std::memory_order_relaxed)) continue;
-      size_t last = q->last_activity.load(std::memory_order_relaxed);
-      if (now >= last && now - last >= q->idle_rounds) {
-        q->reclaim_fired.store(true, std::memory_order_relaxed);
-        due_reclaims.push_back(q->reclaim_cb);
-      }
-    }
-  };
-
-  // Invokes the collected callbacks with the lock released (they take
-  // the callback owners' locks), then clears the batch.
-  auto run_due_reclaims_unlocked = [&due_reclaims] {
-    for (auto& cb : due_reclaims) cb();
-    due_reclaims.clear();
-  };
-  auto drain_due_reclaims = [&](std::unique_lock<std::mutex>& lk) {
-    if (due_reclaims.empty()) return;
-    lk.unlock();
-    run_due_reclaims_unlocked();
-    lk.lock();
-  };
-
   std::unique_lock<std::mutex> lock(st->mu);
   while (true) {
     if (st->stopping) return;
@@ -279,15 +148,8 @@ void Executor::WorkerLoop(const std::shared_ptr<Tenant::SharedState>& st) {
       }
       break;
     }
-    if (wrapped) {
-      st->rounds.fetch_add(1, std::memory_order_relaxed);
-      collect_due_reclaims();
-    }
+    if (wrapped) ++st->rounds;
     if (!claimed) {
-      if (!due_reclaims.empty()) {
-        drain_due_reclaims(lock);
-        continue;
-      }
       st->work_cv.wait(lock);
       continue;
     }
@@ -295,7 +157,6 @@ void Executor::WorkerLoop(const std::shared_ptr<Tenant::SharedState>& st) {
     claimed->tasks.pop_front();
     ++claimed->running;
     lock.unlock();
-    run_due_reclaims_unlocked();
     task();
     lock.lock();
     --claimed->running;
@@ -314,9 +175,6 @@ std::unique_ptr<Executor::Tenant> Executor::CreateTenant(
   queue->deadline = options.deadline;
   {
     std::lock_guard<std::mutex> lock(state_->mu);
-    queue->last_activity.store(
-        state_->rounds.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
     state_->queues.push_back(queue);
     if (queue->deadline) state_->AddToClassLocked(queue);
   }
@@ -328,11 +186,6 @@ Executor::Tenant::~Tenant() {
   queue_->closed = true;
   queue_->tasks.clear();
   if (queue_->deadline) state_->RemoveFromClassLocked(queue_);
-  if (queue_->idle_rounds > 0) {
-    queue_->idle_rounds = 0;
-    queue_->reclaim_cb = nullptr;
-    --state_->reclaim_policies;
-  }
   queue_->idle_cv.wait(lock, [this] { return queue_->running == 0; });
   auto& qs = state_->queues;
   qs.erase(std::remove(qs.begin(), qs.end(), queue_), qs.end());
@@ -385,33 +238,6 @@ bool Executor::Tenant::deadline() const {
   return queue_->deadline;
 }
 
-
-void Executor::Tenant::SetIdleReclaim(size_t idle_rounds,
-                                      std::function<void()> callback) {
-  {
-    std::lock_guard<std::mutex> lock(state_->mu);
-    bool had = queue_->idle_rounds > 0;
-    bool has = idle_rounds > 0 && callback != nullptr;
-    queue_->idle_rounds = has ? idle_rounds : 0;
-    queue_->reclaim_cb = has ? std::move(callback) : nullptr;
-    queue_->last_activity.store(
-        state_->rounds.load(std::memory_order_relaxed),
-        std::memory_order_relaxed);
-    queue_->reclaim_fired.store(false, std::memory_order_relaxed);
-    queue_->reclaim_marked = false;
-    if (has && !had) ++state_->reclaim_policies;
-    if (!has && had) --state_->reclaim_policies;
-  }
-}
-
-void Executor::Tenant::NoteActivity() {
-  queue_->last_activity.store(
-      state_->rounds.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
-  queue_->activity_seq.fetch_add(1, std::memory_order_relaxed);
-  queue_->reclaim_fired.store(false, std::memory_order_relaxed);
-}
-
 size_t Executor::Tenant::queued() const {
   std::lock_guard<std::mutex> lock(state_->mu);
   return queue_->tasks.size();
@@ -433,9 +259,8 @@ size_t Executor::tenants() const {
 }
 
 size_t Executor::dispatch_rounds() const {
-  return state_->rounds.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(state_->mu);
+  return state_->rounds;
 }
-
-void Executor::RequestReclaimTick() { state_->RequestReclaimTick(); }
 
 }  // namespace bgps::core

@@ -37,23 +37,6 @@
 // only its own class — O(class members) under the dispatch lock, not
 // O(all registered tenants).
 //
-// Idle-tenant reclaim support: a tenant may register a reclaim policy
-// (SetIdleReclaim) — when NoteActivity has not been called for
-// `idle_rounds` dispatch rounds, the executor invokes the callback once
-// (outside its own lock) so the owner can shed buffered state. Rounds
-// advance as the dispatch cursor completes rotations, so a busy pool
-// crosses thresholds in proportion to the work it dispatches. A
-// fully-stalled pool has no idle timer: reclaim there is waiter-driven
-// — RequestReclaimTick() (fired by a MemoryGovernor contention hook
-// while an Acquire is blocked) marks armed tenants and, once a
-// tenant shows no activity across ~idle_rounds consecutive signals,
-// fires the *stalest* such tenant — one per signal, the signals
-// standing in for dispatch rounds. The pass runs inline on the
-// signaling thread (not deferred to an idle worker), so it works even
-// when every worker is itself blocked in an Acquire. Reclaim latency
-// therefore scales with budget contention, not wall-clock, and a
-// tenant that is actively draining is never reclaimed by contention.
-//
 // Lifecycle: tenants may come and go freely (streams attach on Start,
 // detach on destruction). Destroying a Tenant discards its queued tasks
 // and blocks until its running ones finish. Destroying the Executor
@@ -126,18 +109,6 @@ class Executor {
     // weight class (fixed at CreateTenant).
     bool deadline() const;
 
-
-    // Registers the idle-reclaim policy: when NoteActivity has not been
-    // called for `idle_rounds` dispatch rounds, `callback` is invoked
-    // once from a worker thread (with no executor lock held). The
-    // policy re-arms on the next NoteActivity. idle_rounds == 0 or a
-    // null callback clears the policy.
-    void SetIdleReclaim(size_t idle_rounds, std::function<void()> callback);
-    // Marks the tenant live (typically: its consumer drained a record),
-    // resetting the idle clock and re-arming a fired reclaim policy.
-    // Lock-free; safe from any thread.
-    void NoteActivity();
-
     // Tasks queued but not yet claimed by a worker.
     size_t queued() const;
     // Tasks completed for this tenant (stats).
@@ -167,37 +138,9 @@ class Executor {
   size_t tasks_run() const;
   // Currently registered tenants (stats for tests).
   size_t tenants() const;
-  // Completed rotations of the dispatch cursor over the tenant set —
-  // the clock idle-reclaim thresholds are measured in. Advances only
-  // with dispatched work.
+  // Completed rotations of the dispatch cursor over the tenant set
+  // (stats). Advances only with dispatched work.
   size_t dispatch_rounds() const;
-
-  // The waiter-driven reclaim trigger, mark/confirm. A processed
-  // signal *marks* each armed tenant by snapshotting its NoteActivity
-  // counter; every later signal that finds the counter unchanged ages
-  // the mark by one, and once a mark's age reaches the tenant's
-  // idle_rounds the tenant may fire — the stalest eligible one (min
-  // last-activity + idle_rounds), exactly one per signal. Contention
-  // signals thus stand in for dispatch rounds while the pool is
-  // stalled: the configured patience is honored in both clock domains.
-  // An actively-draining tenant — however slow — resets its mark on
-  // every pop and is never reclaimed by contention; a paused one
-  // yields after ~idle_rounds signals; a lone stale signal (contention
-  // long gone) can only mark, never fire. The round clock is
-  // untouched. No-op while every policy is unarmed or fired.
-  // Wired by bgps::StreamPool to MemoryGovernor::AddContentionHook,
-  // whose blocked Acquires re-signal on a short interval — so a
-  // starving waiter always delivers the confirming signal, and keeps
-  // peeling off next-stalest tenants until it is granted. The pass
-  // (and any due reclaim callback) runs inline on the calling thread
-  // with no executor lock held across the callbacks — never deferred
-  // to a worker, because a pool whose workers are all parked in
-  // governor Acquires (a reclaimed file re-acquiring its floor) has no
-  // idle worker to defer to, and the blocked waiter's own re-signal
-  // must still be able to free budget. Callers must therefore hold no
-  // lock that a reclaim callback (PrefetchDecoder::ReclaimIdle) takes.
-  // Thread-safe; never blocks on work.
-  void RequestReclaimTick();
 
  private:
   static void WorkerLoop(const std::shared_ptr<Tenant::SharedState>& st);

@@ -1,21 +1,9 @@
 #include "core/governor.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <map>
 #include <string>
 
-#include "core/executor.hpp"
-
 namespace bgps::core {
-
-namespace {
-// While an Acquire stays blocked and contention hooks exist, the hooks
-// re-fire on this interval: the second (and later) signals of the
-// executor's mark/confirm reclaim. The cost is borne entirely by the
-// blocked waiter — an uncontended or idle process never wakes.
-constexpr std::chrono::milliseconds kContentionResignal{10};
-}  // namespace
 
 void MemoryGovernor::GrantLocked() {
   if (!health_.ok()) return;  // poisoned: nobody is granted anything
@@ -42,31 +30,7 @@ Status MemoryGovernor::Acquire(size_t n) {
   w.n = n;
   waiters_.push_back(&w);
   GrantLocked();
-  // A parked demand signals the contention hooks (the waiter-driven
-  // reclaim trigger) — immediately on parking, then again on a short
-  // interval for as long as it stays blocked (the executor's
-  // mark/confirm reclaim needs several signals to fire a tenant).
-  // Hooks run with the lock released; the waiter is already queued, so
-  // its FIFO position — and any grant racing the hooks — is preserved,
-  // and the loop re-checks after every release of the lock.
-  while (!w.granted && health_.ok()) {
-    if (contention_hooks_.empty()) {
-      // Untimed while no hooks exist — a plain governor never polls.
-      // AddContentionHook pokes parked waiters, so a hook registered
-      // *after* this demand parked still switches it to the signalling
-      // branch.
-      w.cv.wait(lock, [&] {
-        return w.granted || !health_.ok() || !contention_hooks_.empty();
-      });
-      continue;
-    }
-    lock.unlock();
-    FireContentionHooks();
-    lock.lock();
-    if (w.granted || !health_.ok()) break;
-    w.cv.wait_for(lock, kContentionResignal,
-                  [&] { return w.granted || !health_.ok(); });
-  }
+  w.cv.wait(lock, [&] { return w.granted || !health_.ok(); });
   if (w.granted) return OkStatus();
   // Poisoned while waiting: withdraw the demand before unwinding (the
   // Waiter lives on this stack frame).
@@ -101,51 +65,6 @@ void MemoryGovernor::Release(size_t n) {
   }
   in_use_ -= n;
   GrantLocked();
-  // Deliberately no contention-hook firing here: a still-starving
-  // waiter re-signals itself on kContentionResignal (see Acquire), so a
-  // Release-side signal would buy < one interval of latency while
-  // charging every consumer pop an executor wakeup on the hot path —
-  // and would let pop bursts age reclaim marks arbitrarily fast.
-}
-
-uint64_t MemoryGovernor::AddContentionHook(std::function<bool()> hook) {
-  if (!hook) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  contention_hooks_.emplace_back(next_hook_id_++, std::move(hook));
-  // Waiters parked while no hook existed sleep untimed; wake them so
-  // they start signalling the new hook.
-  for (Waiter* w : waiters_) w->cv.notify_one();
-  return contention_hooks_.back().first;
-}
-
-void MemoryGovernor::RemoveContentionHook(uint64_t id) {
-  if (id == 0) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& v = contention_hooks_;
-  v.erase(std::remove_if(v.begin(), v.end(),
-                         [id](const auto& entry) { return entry.first == id; }),
-          v.end());
-}
-
-void MemoryGovernor::FireContentionHooks() {
-  std::vector<std::pair<uint64_t, std::function<bool()>>> hooks;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    hooks = contention_hooks_;
-  }
-  std::vector<uint64_t> dead;
-  for (const auto& [id, hook] : hooks) {
-    if (!hook()) dead.push_back(id);
-  }
-  if (dead.empty()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& v = contention_hooks_;
-  v.erase(std::remove_if(v.begin(), v.end(),
-                         [&dead](const auto& entry) {
-                           return std::find(dead.begin(), dead.end(),
-                                            entry.first) != dead.end();
-                         }),
-          v.end());
 }
 
 Status MemoryGovernor::health() const {
@@ -171,81 +90,6 @@ size_t MemoryGovernor::waiting() const {
 MemoryGovernor::Stats MemoryGovernor::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {capacity_, in_use_, max_in_use_, waiters_.size()};
-}
-
-size_t MemoryGovernor::contention_hook_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return contention_hooks_.size();
-}
-
-namespace {
-
-using TickKey = std::pair<const MemoryGovernor*, const Executor*>;
-
-struct TickRegistryState {
-  std::mutex mu;
-  // Weak so the map never extends an entry's life: the Shares do.
-  std::map<TickKey, std::weak_ptr<void>> entries;
-};
-
-// Leaked on purpose: entry destructors may run during static teardown
-// of arbitrary translation units and must find the registry alive.
-TickRegistryState& TickRegistry() {
-  static auto* state = new TickRegistryState();
-  return *state;
-}
-
-// The refcounted payload behind a Share. Destruction (last Share
-// dropped) unhooks the governor and clears the registry slot.
-struct TickEntry {
-  std::weak_ptr<MemoryGovernor> governor;
-  uint64_t hook_id = 0;
-  TickKey key;
-
-  ~TickEntry() {
-    {
-      auto& reg = TickRegistry();
-      std::lock_guard<std::mutex> lock(reg.mu);
-      auto it = reg.entries.find(key);
-      // Erase only our own (now expired) slot: a concurrent Acquire may
-      // already have replaced it with a fresh entry for the same pair.
-      if (it != reg.entries.end() && it->second.expired())
-        reg.entries.erase(it);
-    }
-    if (auto gov = governor.lock(); gov && hook_id != 0)
-      gov->RemoveContentionHook(hook_id);
-  }
-};
-
-}  // namespace
-
-ReclaimTickRegistry::Share ReclaimTickRegistry::Acquire(
-    const std::shared_ptr<MemoryGovernor>& governor,
-    const std::shared_ptr<Executor>& executor) {
-  if (!governor || !executor) return nullptr;
-  auto& reg = TickRegistry();
-  std::lock_guard<std::mutex> lock(reg.mu);
-  TickKey key{governor.get(), executor.get()};
-  auto it = reg.entries.find(key);
-  if (it != reg.entries.end()) {
-    if (auto live = it->second.lock()) return live;
-  }
-  auto entry = std::make_shared<TickEntry>();
-  entry->governor = governor;
-  entry->key = key;
-  // Aliveness is keyed to the entry (the pair's pooled interest), not
-  // to any single caller: the hook survives stream churn as long as
-  // one Share holds it and self-prunes once the last drops.
-  entry->hook_id = governor->AddContentionHook(
-      [we = std::weak_ptr<TickEntry>(entry),
-       ex = std::weak_ptr<Executor>(executor)] {
-        if (we.expired()) return false;
-        auto e = ex.lock();
-        if (e) e->RequestReclaimTick();
-        return e != nullptr;
-      });
-  reg.entries[key] = entry;
-  return entry;
 }
 
 }  // namespace bgps::core

@@ -16,7 +16,6 @@ class PrefetchDecoder::ChunkedSource : public RecordSource {
     cf_->abandoned = true;
     st_->buffered -= cf_->buffer.size();
     cf_->buffer.clear();
-    cf_->buffer_cps.clear();
     ReleaseSlotsLocked(*st_, *cf_);
     if (!cf_->claimed) {
       // No task holds the reader; a claimed one cleans up on unclaim.
@@ -40,11 +39,7 @@ class PrefetchDecoder::ChunkedSource : public RecordSource {
     if (cf_->buffer.empty()) return std::nullopt;
     Record rec = std::move(cf_->buffer.front());
     cf_->buffer.pop_front();
-    cf_->buffer_cps.pop_front();
     --st_->buffered;
-    ++cf_->consumed;
-    // The consumer is draining: reset the tenant's idle-reclaim clock.
-    if (st_->tenant != nullptr) st_->tenant->NoteActivity();
     // Return the drained slot(s) to the global budget (keeping the
     // file's floor until it completes). Top the buffer back up once it
     // is half drained — urgent, since the merge heap will come back
@@ -57,11 +52,10 @@ class PrefetchDecoder::ChunkedSource : public RecordSource {
   }
 
  private:
-  // Blocks until the file has a buffered record or has truly ended,
-  // (re)scheduling a fill whenever none is queued or running — the
-  // normal pop path schedules refills, but after an idle reclaim (or a
-  // reclaim racing this very wait) the buffer is empty with no task in
-  // flight, and this urgent submit is what re-decodes it.
+  // Blocks until the file has a buffered record or has truly ended.
+  // Pops schedule the refill before the buffer runs dry; the urgent
+  // submit here is a backstop for a wait that finds no fill queued or
+  // running.
   void WaitForRecordLocked(std::unique_lock<std::mutex>& lock) {
     while (cf_->buffer.empty() && !cf_->done) {
       if (!cf_->claimed) ScheduleFill(st_, cf_, /*urgent=*/true);
@@ -101,29 +95,9 @@ PrefetchDecoder::PrefetchDecoder(Options options)
       {.weight = std::max<size_t>(1, options_.tenant_weight),
        .deadline = options_.tenant_deadline});
   state_->tenant = tenant_.get();
-  if (options_.idle_reclaim_rounds > 0) {
-    // Invoked by a worker with no executor lock held; takes State::mu.
-    tenant_->SetIdleReclaim(options_.idle_reclaim_rounds,
-                            [st = state_] { ReclaimIdle(st); });
-    // Wire the waiter-driven reclaim trigger, so the executor+governor
-    // embedding works without a StreamPool. The registry pools the hook
-    // per (governor, executor) pair: K decoders on one shared executor
-    // hold K Shares of ONE hook, so a contention re-signal fires one
-    // RequestReclaimTick instead of K redundant ones and the governor's
-    // hook list stays flat under stream churn.
-    tick_share_ =
-        ReclaimTickRegistry::Acquire(options_.governor, options_.executor);
-  }
 }
 
 PrefetchDecoder::~PrefetchDecoder() {
-  // Drop our share of the pooled contention hook eagerly: on a
-  // never-contended governor the self-prune-on-fire would otherwise
-  // never run. The hook itself is removed only when the last decoder
-  // sharing the (governor, executor) pair lets go. (A fire already in
-  // flight may still call its copy once; the weak captures make that a
-  // no-op.)
-  tick_share_.reset();
   {
     // Stop fill loops early and stop refill scheduling; queued tasks
     // are discarded by the tenant below, running ones finish.
@@ -214,21 +188,6 @@ size_t PrefetchDecoder::buffered_records() const {
   return state_->buffered;
 }
 
-size_t PrefetchDecoder::reclaims() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->reclaims;
-}
-
-size_t PrefetchDecoder::seek_resumes() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->seek_resumes;
-}
-
-size_t PrefetchDecoder::skip_resumes() const {
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->skip_resumes;
-}
-
 size_t PrefetchDecoder::queued_tasks() const {
   return tenant_ ? tenant_->queued() : 0;
 }
@@ -251,66 +210,6 @@ void PrefetchDecoder::PruneActiveLocked(State& st) {
   while (!st.active.empty() && !SubsetLive(st.active.front())) {
     st.active.pop_front();
   }
-}
-
-void PrefetchDecoder::ReclaimIdle(const std::shared_ptr<State>& st) {
-  std::lock_guard<std::mutex> lock(st->mu);
-  if (st->stopping) return;
-  // Files with a fill task queued/running are left alone (the task
-  // holds the reader with the lock released, and may buffer more
-  // records right after this pass). The executor's reclaim policy is
-  // one-shot until the consumer's next NoteActivity, so when any such
-  // file is skipped we reset the idle clock ourselves — another pass
-  // fires idle_reclaim_rounds later and catches it, instead of the
-  // tenant pinning those buffers until the consumer resumes.
-  bool skipped_busy = false;
-  auto reclaim_subset = [&](const Subset& subset) {
-    for (const auto& cf : subset) {
-      if (cf->abandoned) continue;
-      if (cf->claimed) {
-        skipped_busy = true;
-        continue;
-      }
-      // Quiescent = no fill task in flight and records parked in
-      // the buffer.
-      if (cf->buffer.empty()) continue;
-      // The front buffered record is exactly where resume must
-      // restart: remember its checkpoint so the refill seeks there
-      // in O(1) instead of re-framing `consumed` records.
-      cf->resume_cp = cf->buffer_cps.front();
-      st->buffered -= cf->buffer.size();
-      cf->buffer.clear();
-      cf->buffer_cps.clear();
-      cf->reader.reset();  // position is lost; resume_cp restores it
-      if (cf->done) {
-        // The records still owed to the consumer must be re-decoded,
-        // so the file is no longer "decoded".
-        cf->done = false;
-        if (st->files_decoded > 0) --st->files_decoded;
-      }
-      cf->reclaimed = true;
-      ++st->reclaims;
-      // Full release: the floor slot goes back to the budget too.
-      // Keeping it (the pre-fix behavior) leaked one slot per file
-      // of every reclaimed-and-never-resumed tenant — a dead
-      // stream's floors stayed leased forever, silently shrinking
-      // the shared budget. The resume fill re-acquires its floor
-      // through the governor's fair FIFO Acquire instead (see
-      // FillChunked), which can never be starved and whose blocked
-      // wait runs reclaim passes inline.
-      if (cf->slots > 0) {
-        st->governor->Release(cf->slots);
-        cf->slots = 0;
-      }
-    }
-  };
-  for (const Subset& subset : st->queued) reclaim_subset(subset);
-  for (const Subset& subset : st->active) reclaim_subset(subset);
-  // No explicit retry is needed for the skipped files: the contention
-  // that fired this pass keeps re-signalling while it stays blocked
-  // (and a busy pool's round clock keeps advancing), so the next pass
-  // catches them once their fills unclaim.
-  if (skipped_busy && st->tenant != nullptr) st->tenant->NoteActivity();
 }
 
 void PrefetchDecoder::ReleaseSlotsLocked(State& st, ChunkedFile& cf) {
@@ -339,62 +238,11 @@ void PrefetchDecoder::FillChunked(const std::shared_ptr<State>& st,
   if (!cf.reader && !cf.done && !cf.abandoned && !st->stopping) {
     opened = true;
     broker::DumpFileMeta meta = cf.meta;
-    bool resuming = cf.reclaimed;
-    DumpReader::Checkpoint resume_cp = cf.resume_cp;
-    size_t skip = resuming ? cf.consumed : 0;
-    // A full-release reclaim returned this file's floor slot to the
-    // global budget (slots == 0 happens no other way: fresh files own
-    // their floor from Submit). Re-acquire it through the governor's
-    // fair FIFO Acquire before re-opening — the demand queues behind
-    // earlier blocked demands instead of barging via TryAcquire, and
-    // while it waits its contention re-signals run reclaim passes
-    // inline (see Executor::RequestReclaimTick), so budget parked on
-    // other idle tenants is peeled loose even when every worker is
-    // blocked here.
-    bool need_floor = cf.slots == 0;
     lock.unlock();
-    bool floor_acquired = false;
-    if (need_floor) floor_acquired = st->governor->Acquire(1).ok();
-    std::unique_ptr<DumpReader> reader;
-    bool exhausted = false;
-    if (need_floor && !floor_acquired) {
-      // A 1-slot demand only fails on a poisoned ledger (double-release
-      // accounting bug): end the file like a shutdown truncation; the
-      // stream surfaces the latched governor health as its status.
-      exhausted = false;
-    } else {
-      if (st->file_open_hook) st->file_open_hook(meta);
-      if (resuming && resume_cp.valid) {
-        // Resuming after an idle reclaim: seek straight to the first
-        // dropped record's checkpoint — O(1), the consumed prefix is
-        // never read again.
-        reader = std::make_unique<DumpReader>(std::move(meta), resume_cp);
-      } else {
-        // Fresh file, or a reclaimed record with no byte position (the
-        // synthesized open-failure record): re-open from the start and
-        // Skip() the records the consumer already drained. Skip counts
-        // raw framing units without re-decoding the BGP payloads;
-        // < skip ⇔ the file shrank.
-        reader = std::make_unique<DumpReader>(std::move(meta));
-        exhausted = reader->Skip(skip) < skip;
-      }
-    }
+    if (st->file_open_hook) st->file_open_hook(meta);
+    auto reader = std::make_unique<DumpReader>(std::move(meta));
     lock.lock();
-    cf.reclaimed = false;
-    if (floor_acquired) ++cf.slots;  // recorded under the lock it is read
-    if (need_floor && !floor_acquired) {
-      cf.done = true;  // poisoned governor: truncate, never hang
-    } else {
-      if (resuming) {
-        ++(resume_cp.valid ? st->seek_resumes : st->skip_resumes);
-      }
-      if (exhausted) {
-        cf.done = true;
-        ++st->files_decoded;
-      } else {
-        cf.reader = std::move(reader);
-      }
-    }
+    cf.reader = std::move(reader);
   }
   // Deadline-class head-of-line fix: the open above (archive-latency
   // bound — in the paper's deployment an HTTP fetch) and the decode
@@ -441,7 +289,6 @@ void PrefetchDecoder::FillChunked(const std::shared_ptr<State>& st,
     }
     if (cf.abandoned) break;  // consumer is gone: drop the record
     cf.buffer.push_back(std::move(*rec));
-    cf.buffer_cps.push_back(cf.reader->last_checkpoint());
     ++st->buffered;
     st->max_buffered = std::max(st->max_buffered, st->buffered);
     // Wake a consumer blocked on this file's first record right away

@@ -26,26 +26,10 @@
 // TryAcquire (never blocking the shared Executor). Slots release as the
 // consumer drains.
 //
-// Idle-tenant reclaim (Options::idle_reclaim_rounds): a paused consumer
-// would otherwise park its chunked buffers — and their governor leases
-// — indefinitely, shrinking the shared budget for every other tenant.
-// With a reclaim threshold set, once the consumer has not drained a
-// record for that many executor dispatch rounds, the decoder drops all
-// buffered-but-undrained chunked records, releases *every* governor
-// lease they held — extras and the per-file floor slots alike, so a
-// reclaimed tenant that never resumes drains its governor footprint to
-// zero — and stores the DumpReader::Checkpoint of the first dropped
-// record. When the consumer resumes, the next fill task — scheduled via
-// SubmitUrgent because the consumer is blocked on it — first re-acquires
-// the file's floor through the governor's fair FIFO Acquire (the blocked
-// demand's contention re-signals run reclaim passes inline, so budget
-// parked on other idle tenants is freed even when every worker is
-// blocked in such an Acquire), then reconstructs the reader straight at
-// that checkpoint (an O(1) seek; only records the checkpoint cannot
-// cover, e.g. an open-failure file, fall back to the O(consumed)
-// re-open + Skip path), so the emitted sequence is identical to a
-// never-reclaimed run without re-reading the consumed prefix of a
-// large dump.
+// A paused consumer keeps what it has buffered, and the leases with
+// it, until it drains or drops its sources: at most
+// max_records_in_flight records per in-flight subset, at least one per
+// file.
 //
 // Ordering guarantee: NextSources() returns subsets in Submit() order,
 // and within a subset sources preserve the submitted file order, so a
@@ -87,11 +71,6 @@ class PrefetchDecoder {
     // tenant, so a live consumer's wait tracks enqueue order instead of
     // cursor position. See Executor::TenantOptions::deadline.
     bool tenant_deadline = false;
-    // Idle-tenant reclaim: when the consumer has not drained a record
-    // for this many executor dispatch rounds, drop the buffered records
-    // (releasing their governor leases) and re-decode on resume.
-    // 0 = never reclaim.
-    size_t idle_reclaim_rounds = 0;
   };
 
   explicit PrefetchDecoder(Options options);
@@ -134,19 +113,6 @@ class PrefetchDecoder {
   // StreamPool introspection.
   size_t buffered_records() const;
 
-  // Files whose undrained buffers were dropped by idle-tenant reclaim
-  // so far (each is re-decoded on resume).
-  size_t reclaims() const;
-
-  // Reclaimed files resumed by seeking straight to the stored
-  // checkpoint (O(1) — no re-read of the consumed prefix).
-  size_t seek_resumes() const;
-
-  // Reclaimed files resumed by the fallback re-open + Skip(consumed)
-  // path (only files whose records carry no byte position, e.g. an
-  // open-failure record). The large-file resume test pins this at 0.
-  size_t skip_resumes() const;
-
   // Decode tasks queued on this decoder's tenant but not yet claimed.
   size_t queued_tasks() const;
 
@@ -161,27 +127,15 @@ class PrefetchDecoder {
     broker::DumpFileMeta meta;
     size_t capacity = 1;
     std::deque<Record> buffer;
-    // Resume point of each buffered record, in lockstep with `buffer`:
-    // the front entry is where a reclaim's resume must restart.
-    std::deque<DumpReader::Checkpoint> buffer_cps;
     std::unique_ptr<DumpReader> reader;  // created by the first filler
     size_t slots = 0;        // governor slots held (floor + extras)
     // 1 while the fill task decodes a record with the lock released and
     // a slot already leased for it; keeps concurrent consumer pops from
     // releasing that in-flight lease (ReleaseSlotsLocked counts it).
     size_t decoding = 0;
-    // Records the consumer has popped from this file so far (the
-    // Skip-fallback resume count; also an invariant check on resume_cp).
-    size_t consumed = 0;
-    // Where the reclaimed buffer's first record lives, for the O(1)
-    // seek resume (valid ⇔ the record had a byte position).
-    DumpReader::Checkpoint resume_cp;
     bool claimed = false;    // a fill task is queued or running
     bool done = false;       // reader exhausted (or truncated at shutdown)
     bool abandoned = false;  // the consumer dropped the source
-    // Idle reclaim dropped this file's buffer; the next fill must
-    // reconstruct the reader at resume_cp (or re-open + Skip) first.
-    bool reclaimed = false;
   };
 
   // One submitted subset's files, in file order.
@@ -204,21 +158,17 @@ class PrefetchDecoder {
     size_t files_decoded = 0;
     size_t buffered = 0;      // records currently buffered
     size_t max_buffered = 0;  // high watermark of `buffered`
-    size_t reclaims = 0;      // files reclaimed while idle
-    size_t seek_resumes = 0;  // reclaim resumes via checkpoint seek
-    size_t skip_resumes = 0;  // reclaim resumes via re-open + Skip
     bool stopping = false;
   };
 
   class ChunkedSource;
 
   // Fills `cf` (claimed by the running task) until full/EOF/denied-
-  // lease/abandoned/stop. Runs as an Executor task. When the file is
-  // not open yet, the task only performs the open (plus any reclaim
-  // resume seek and floor re-acquisition) and re-submits the decode
-  // burst as a separate task in the same band (`urgent`), so queued
-  // opens of other deadline-class tenants never wait behind a whole
-  // decode burst.
+  // lease/abandoned/stop. Runs as an Executor task and never blocks on
+  // the governor. When the file is not open yet, the task only performs
+  // the open and re-submits the decode burst as a separate task in the
+  // same band (`urgent`), so queued opens of other deadline-class
+  // tenants never wait behind a whole decode burst.
   static void FillChunked(const std::shared_ptr<State>& st,
                           const std::shared_ptr<ChunkedFile>& cf,
                           bool urgent);
@@ -239,18 +189,9 @@ class PrefetchDecoder {
   static bool SubsetLive(const Subset& s);
   // Drops handed-out subsets whose files are all drained or abandoned.
   static void PruneActiveLocked(State& st);
-  // Idle-tenant reclaim pass (invoked by the Executor with no executor
-  // lock held): drops every quiescent file's buffered records,
-  // releases every governor lease they held — extras and floor slots
-  // alike — and marks the files for skip-ahead re-decode on resume
-  // (which re-acquires its floor via the governor's FIFO Acquire).
-  static void ReclaimIdle(const std::shared_ptr<State>& st);
 
   Options options_;
   std::shared_ptr<State> state_;
-  // Share of the (governor, executor) pair's pooled contention hook
-  // (see ReclaimTickRegistry); dropped eagerly in the destructor.
-  ReclaimTickRegistry::Share tick_share_;
   std::unique_ptr<Executor::Tenant> tenant_;
 };
 

@@ -24,11 +24,10 @@ Status BgpStream::Start() {
         "prefetch_subsets > 0 requires Options::executor and "
         "Options::governor (bgps::StreamPool::CreateStream injects both)");
   if (!async && (options_.executor || options_.governor ||
-                 options_.max_records_in_flight > 0 ||
-                 options_.idle_reclaim_rounds > 0))
+                 options_.max_records_in_flight > 0))
     return InvalidArgument(
-        "executor, governor, max_records_in_flight and idle_reclaim_rounds "
-        "require prefetch_subsets > 0 (the synchronous path never decodes "
+        "executor, governor and max_records_in_flight require "
+        "prefetch_subsets > 0 (the synchronous path never decodes "
         "off-thread)");
   if (async && options_.executor->threads() == 0)
     return InvalidArgument(
@@ -53,7 +52,6 @@ Status BgpStream::Start() {
     popt.max_records_in_flight = options_.max_records_in_flight;
     popt.tenant_weight = options_.tenant_weight;
     popt.tenant_deadline = options_.tenant_deadline;
-    popt.idle_reclaim_rounds = options_.idle_reclaim_rounds;
     decoder_ = std::make_unique<PrefetchDecoder>(std::move(popt));
     decoder_for_stats_.store(decoder_.get(), std::memory_order_release);
   }
@@ -197,7 +195,6 @@ BgpStream::RuntimeStats BgpStream::stats() const {
     out.tasks_executed = d->tenant_tasks_run();
     out.files_decoded = d->files_decoded();
     out.records_buffered = d->buffered_records();
-    out.reclaims = d->reclaims();
   }
   return out;
 }

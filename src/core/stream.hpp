@@ -75,13 +75,6 @@ class BgpStream {
     // sequences are identical either way (per-tenant FIFO is
     // untouched). Injected by StreamPool's TenantOptions::deadline.
     bool tenant_deadline = false;
-    // Idle-tenant reclaim: when this stream's consumer has not drained
-    // a record for this many executor dispatch rounds, its buffered
-    // records are dropped (their governor leases released) and
-    // re-decoded on resume — so a paused consumer cannot pin the shared
-    // budget. Requires prefetch_subsets > 0. 0 = never reclaim. Output
-    // is identical either way.
-    size_t idle_reclaim_rounds = 0;
   };
 
   // Runtime introspection snapshot (see stats()). Each field is read
@@ -94,12 +87,11 @@ class BgpStream {
     size_t queue_depth = 0;
     // Decode tasks completed for this stream's tenant.
     size_t tasks_executed = 0;
-    // Dump files fully decoded (a reclaimed file counts again when its
-    // re-decode completes).
+    // Dump files fully decoded.
     size_t files_decoded = 0;
     // Records currently buffered by the prefetch stage.
     size_t records_buffered = 0;
-    // Files whose buffers idle-reclaim dropped so far.
+    // Always 0; kept only because perfbench still reads it.
     size_t reclaims = 0;
   };
 
@@ -149,7 +141,7 @@ class BgpStream {
   }
 
   // Runtime introspection: queue depth, tasks executed, files decoded,
-  // records buffered, reclaims. All zeros without a prefetch decoder
+  // records buffered. All zeros without a prefetch decoder
   // (including while Start() is still constructing it — the snapshot
   // is safe from any thread at any time, racing Start() included).
   // StreamPool::Stats() aggregates this per tenant.

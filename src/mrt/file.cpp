@@ -5,26 +5,9 @@ namespace bgps::mrt {
 Status MrtFileReader::Open(const std::string& path) {
   path_ = path;
   corrupt_ = false;
-  records_read_ = 0;
   offset_ = 0;
   file_.open(path, std::ios::binary);
   if (!file_.is_open()) return IoError("cannot open " + path);
-  return OkStatus();
-}
-
-Status MrtFileReader::Open(const std::string& path, uint64_t offset) {
-  BGPS_RETURN_IF_ERROR(Open(path));
-  if (offset > 0) {
-    file_.seekg(std::streamoff(offset));
-    if (file_.fail()) {
-      // Seekable past-EOF positions are legal for ifstreams; a hard
-      // fail means the stream is unusable.
-      corrupt_ = true;
-      return CorruptError("cannot seek to offset " + std::to_string(offset) +
-                          " in " + path);
-    }
-    offset_ = offset;
-  }
   return OkStatus();
 }
 
@@ -75,7 +58,6 @@ Result<RawRecord> MrtFileReader::Next() {
     raw.body = raw.body.subspan(4);
   }
 
-  ++records_read_;
   offset_ += kMrtHeaderSize + len;  // the BGP4MP_ET body trim is in-memory
   return raw;
 }

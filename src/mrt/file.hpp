@@ -21,11 +21,6 @@ class MrtFileReader {
   MrtFileReader() = default;
 
   Status Open(const std::string& path);
-  // Opens and seeks straight to `offset` — a byte position previously
-  // read from offset(), i.e. a record-frame boundary. The O(1) resume
-  // path of idle-tenant reclaim: re-framing continues mid-file without
-  // re-reading the prefix. An offset past EOF just yields EndOfStream.
-  Status Open(const std::string& path, uint64_t offset);
   bool is_open() const { return file_.is_open(); }
   const std::string& path() const { return path_; }
 
@@ -38,12 +33,8 @@ class MrtFileReader {
   // framing the next one; callers that keep bodies must copy them.
   Result<RawRecord> Next();
 
-  // Total records framed so far (for stats / tests).
-  size_t records_read() const { return records_read_; }
-
-  // Byte position of the next frame Next() will read — stable across
-  // EOF, so it can be captured per record and handed back to
-  // Open(path, offset) later.
+  // Byte position of the next frame Next() will read (stable across
+  // EOF): the bytes framed so far.
   uint64_t offset() const { return offset_; }
 
  private:
@@ -53,7 +44,6 @@ class MrtFileReader {
   // a record costs zero heap allocations at steady state.
   Bytes buf_;
   bool corrupt_ = false;
-  size_t records_read_ = 0;
   uint64_t offset_ = 0;
 };
 

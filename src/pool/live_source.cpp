@@ -9,10 +9,7 @@
 
 namespace bgps::pool {
 
-LiveSource::LiveSource(Options options) : options_(std::move(options)) {
-  reclaim_share_ =
-      core::ReclaimTickRegistry::Acquire(options_.governor, options_.executor);
-}
+LiveSource::LiveSource(Options options) : options_(std::move(options)) {}
 
 LiveSource::~LiveSource() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -78,9 +75,7 @@ Status LiveSource::SpoolRecord(Timestamp ts, Bytes encoded) {
       // Budget exhausted. First hand the consumers everything we hold
       // (publishing releases our leases, so downstream can always make
       // progress), then park fair-FIFO until a slot frees — this is the
-      // socket backpressure. The blocked Acquire's contention hook
-      // drives the executor's reclaim tick, peeling budget off idle
-      // tenants.
+      // socket backpressure.
       {
         std::lock_guard<std::mutex> lock(mu_);
         BGPS_RETURN_IF_ERROR(FlushLocked());

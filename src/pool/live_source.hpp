@@ -23,11 +23,11 @@
 // flush leases one slot from the shared MemoryGovernor. When the budget
 // is exhausted the source first flushes its pending records (releasing
 // the leases and publishing the data, so consumers can always make
-// progress), then *parks* in a fair-FIFO Acquire — exactly the "govern
-// the socket instead of growing a buffer" behavior ROADMAP direction 4
-// asks for. A blocked park fires the governor's contention hooks, which
-// drive Executor::RequestReclaimTick — so budget pinned by idle tenants
-// is reclaimed by the waiter, not by a timer.
+// progress), then *parks* in a fair-FIFO Acquire on the session-reader
+// thread — exactly the "govern the socket instead of growing a buffer"
+// behavior ROADMAP direction 4 asks for. The park ends when a consumer
+// drains a record and its lease is released; nothing is taken back from
+// paused tenants, so the budget must leave the live tenant headroom.
 //
 // Fault tolerance (pinned by tests/live_fault_test.cpp):
 //   * arbitrary chunk boundaries — partial frames are buffered until
@@ -78,8 +78,7 @@ class LiveSource {
     // Shared record-budget ledger (null = unbounded pending buffer; a
     // production live tenant always passes the pool's governor).
     std::shared_ptr<core::MemoryGovernor> governor;
-    // The pool executor, for the waiter-driven reclaim tick wiring
-    // (ignored when null or when governor is null).
+    // Unused; kept only because perfbench still sets it.
     std::shared_ptr<core::Executor> executor;
   };
 
@@ -147,7 +146,6 @@ class LiveSource {
 
   Options options_;
   core::LiveFeedInterface feed_;
-  core::ReclaimTickRegistry::Share reclaim_share_;
 
   mutable std::mutex mu_;
   Bytes buf_;            // undecoded partial-frame bytes (BMP mode)

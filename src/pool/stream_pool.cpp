@@ -63,10 +63,6 @@ StreamPool::StreamPool(Options options) : options_(options) {
   executor_ = std::make_shared<core::Executor>(eopt);
   governor_ = std::make_shared<core::MemoryGovernor>(options_.record_budget);
   registry_ = std::make_shared<pool_internal::TenantRegistry>();
-  // No contention-hook wiring here: each reclaim-enabled vended
-  // stream's PrefetchDecoder registers (and on destruction removes)
-  // its own governor hook, so a pool whose streams never enable
-  // reclaim keeps blocked Acquires on the untimed no-poll path.
 }
 
 Result<std::unique_ptr<StreamPool>> StreamPool::Create(Options options) {
@@ -86,8 +82,6 @@ std::unique_ptr<core::BgpStream> StreamPool::CreateStream(
   }
   options.tenant_weight = tenant.weight;
   options.tenant_deadline = tenant.deadline;
-  options.idle_reclaim_rounds =
-      tenant.idle_reclaim_rounds.value_or(options_.idle_reclaim_rounds);
   size_t ordinal = streams_created_.fetch_add(1) + 1;
   std::string name = tenant.name.empty()
                          ? "tenant-" + std::to_string(ordinal)
@@ -166,8 +160,8 @@ std::string SnapshotJson(const StreamPool::Snapshot& snap) {
     buf += ",\"tasks_executed\":" + std::to_string(t.stats.tasks_executed);
     buf += ",\"files_decoded\":" + std::to_string(t.stats.files_decoded);
     buf += ",\"records_buffered\":" + std::to_string(t.stats.records_buffered);
-    buf += ",\"records_emitted\":" + std::to_string(t.stats.records_emitted);
-    buf += ",\"reclaims\":" + std::to_string(t.stats.reclaims) + "}";
+    buf += ",\"records_emitted\":" + std::to_string(t.stats.records_emitted) +
+           "}";
   }
   buf += "]}";
   return buf;

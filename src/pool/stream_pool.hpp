@@ -18,12 +18,16 @@
 //   // from any thread (one thread per stream).
 //
 // Operability: Stats() returns a snapshot of every live tenant (queue
-// depth, tasks executed, files decoded, records buffered, reclaims)
-// plus the governor ledger and executor counters — the introspection a
-// multi-tenant service needs. Options::idle_reclaim_rounds (or the
-// per-tenant override) bounds the damage a paused consumer can do: its
-// parked buffers are dropped and re-decoded on resume, so one stalled
-// tenant cannot pin the shared budget.
+// depth, tasks executed, files decoded, records buffered) plus the
+// governor ledger and executor counters — the introspection a
+// multi-tenant service needs.
+//
+// A paused consumer keeps what its stream has buffered, leases
+// included, until it resumes or the stream is destroyed: up to
+// prefetch_subsets subsets, each capped by max_records_in_flight (at
+// least one record per file). The default cap is the whole budget, so
+// give streams that may pause a smaller max_records_in_flight, drive
+// each stream from its own thread, and destroy abandoned streams.
 //
 // Every vended stream emits exactly the record/elem sequence the
 // synchronous BgpStream emits — the pool only changes *where* decode
@@ -34,7 +38,6 @@
 
 #include <atomic>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -54,10 +57,6 @@ class StreamPool {
     // Hard cap on decoded records buffered in RAM across all vended
     // streams together (the MemoryGovernor capacity).
     size_t record_budget = 4096;
-    // Default idle-tenant reclaim threshold, in executor dispatch
-    // rounds, applied to vended streams (TenantOptions can override
-    // per tenant). 0 = paused consumers keep their buffers forever.
-    size_t idle_reclaim_rounds = 0;
   };
 
   // Per-tenant scheduling identity for CreateStream.
@@ -74,9 +73,6 @@ class StreamPool {
     bool deadline = false;
     // Display name in Stats(); empty = "tenant-<n>".
     std::string name;
-    // Per-tenant override of Options::idle_reclaim_rounds (nullopt =
-    // use the pool default; 0 = never reclaim this tenant).
-    std::optional<size_t> idle_reclaim_rounds;
   };
 
   // Lock-consistent introspection snapshot (see Stats()). The
@@ -88,7 +84,7 @@ class StreamPool {
       size_t weight = 0;
       bool deadline = false;
       // queue_depth, tasks_executed, files_decoded, records_buffered,
-      // records_emitted, reclaims.
+      // records_emitted.
       core::BgpStream::RuntimeStats stats;
     };
     struct Executor {

@@ -9,8 +9,9 @@ namespace bgps {
 namespace {
 
 // The whole of `s` as a non-negative decimal integer, or nullopt.
-std::optional<Timestamp> ParseSeconds(std::string_view s) {
-  Timestamp v = 0;
+template <typename T>
+std::optional<T> ParseWholeNumber(std::string_view s) {
+  T v = 0;
   const char* end = s.data() + s.size();
   if (s.empty() || s.front() == '-') return std::nullopt;
   auto [ptr, ec] = std::from_chars(s.data(), end, v);
@@ -23,18 +24,27 @@ std::optional<Timestamp> ParseSeconds(std::string_view s) {
 Result<TimeInterval> ParseTimeWindow(std::string_view text) {
   size_t comma = text.find(',');
   std::string_view start_token = text.substr(0, comma);
-  std::optional<Timestamp> start = ParseSeconds(start_token);
+  std::optional<Timestamp> start = ParseWholeNumber<Timestamp>(start_token);
   if (!start)
     return InvalidArgument("START must be whole UNIX seconds, got \"" +
                            std::string(start_token) + "\"");
   if (comma == std::string_view::npos) return TimeInterval{*start, kLiveEnd};
   std::string_view end_token = text.substr(comma + 1);
-  std::optional<Timestamp> end = ParseSeconds(end_token);
+  std::optional<Timestamp> end = ParseWholeNumber<Timestamp>(end_token);
   if (!end)
     return InvalidArgument("END must be whole UNIX seconds, got \"" +
                            std::string(end_token) + "\"");
   if (*end <= *start) return InvalidArgument("window must have END > START");
   return TimeInterval{*start, *end};
+}
+
+Result<size_t> ParseCountFlag(std::string_view flag, std::string_view token) {
+  std::optional<size_t> n = ParseWholeNumber<size_t>(token);
+  if (!n)
+    return InvalidArgument(std::string(flag) +
+                           " must be a whole non-negative number, got \"" +
+                           std::string(token) + "\"");
+  return *n;
 }
 
 int64_t DaysFromCivil(int y, int m, int d) {

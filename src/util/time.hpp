@@ -58,6 +58,12 @@ struct TimeInterval {
 // interval is live (end == kLiveEnd). Errors quote the offending token.
 Result<TimeInterval> ParseTimeWindow(std::string_view text);
 
+// Parses a command-line count flag's value (bgpreader -n, --pool-*):
+// the same whole-token rule as ParseTimeWindow — one non-negative
+// decimal integer, no sign, no trailing text, no overflow. The error
+// names the flag and quotes the token.
+Result<size_t> ParseCountFlag(std::string_view flag, std::string_view token);
+
 // Aligns `ts` down to a multiple of `bin` seconds.
 inline Timestamp AlignToBin(Timestamp ts, Timestamp bin) {
   return (ts / bin) * bin;

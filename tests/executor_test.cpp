@@ -197,122 +197,6 @@ TEST(ExecutorTest, DispatchRoundsAdvanceWithRotations) {
   EXPECT_GE(ex.dispatch_rounds(), before + 16);
 }
 
-TEST(ExecutorTest, IdleReclaimFiresAfterThresholdAndRearmsOnActivity) {
-  Executor ex({.threads = 2});
-  auto busy = ex.CreateTenant();
-  auto idle = ex.CreateTenant();
-  std::atomic<int> reclaimed{0};
-  idle->SetIdleReclaim(3, [&reclaimed] { ++reclaimed; });
-
-  // Other tenants' dispatch advances the round clock; after >= 3 rounds
-  // without NoteActivity the callback fires — exactly once until
-  // activity re-arms it.
-  for (int i = 0; i < 64; ++i) busy->Submit([] {});
-  ASSERT_TRUE(WaitFor([&] { return reclaimed.load() == 1; }));
-  std::this_thread::sleep_for(100ms);
-  EXPECT_EQ(reclaimed.load(), 1);  // does not re-fire while still idle
-
-  idle->NoteActivity();  // re-arm; more dispatch crosses the threshold again
-  for (int i = 0; i < 64; ++i) busy->Submit([] {});
-  ASSERT_TRUE(WaitFor([&] { return reclaimed.load() == 2; }));
-
-  // Clearing the policy stops further fires.
-  idle->SetIdleReclaim(0, nullptr);
-  int at_clear = reclaimed.load();
-  for (int i = 0; i < 64; ++i) busy->Submit([] {});
-  ASSERT_TRUE(WaitFor([&] { return ex.tasks_run() >= 192; }));
-  EXPECT_EQ(reclaimed.load(), at_clear);
-}
-
-TEST(ExecutorTest, ReclaimTickSignalsFireStalestTenantAfterItsPatience) {
-  // The waiter-driven trigger: with the pool fully stalled, rounds do
-  // not advance on their own (no timer), so armed policies stay
-  // dormant. Contention signals (RequestReclaimTick) stand in for
-  // dispatch rounds: a tenant fires only after ~idle_rounds
-  // consecutive signals without activity — the smaller-patience tenant
-  // first, one tenant per signal, round clock untouched. A lone signal
-  // can only mark, never fire.
-  Executor ex({.threads = 1});
-  auto stale = ex.CreateTenant();
-  auto fresh = ex.CreateTenant();
-  std::atomic<int> stale_reclaims{0};
-  std::atomic<int> fresh_reclaims{0};
-  stale->SetIdleReclaim(25, [&stale_reclaims] { ++stale_reclaims; });
-  fresh->SetIdleReclaim(60, [&fresh_reclaims] { ++fresh_reclaims; });
-
-  // Stalled pool: nothing fires without tick requests, and one request
-  // alone only marks.
-  size_t rounds_before = ex.dispatch_rounds();
-  ex.RequestReclaimTick();
-  std::this_thread::sleep_for(50ms);
-  EXPECT_EQ(stale_reclaims.load(), 0);
-  EXPECT_EQ(fresh_reclaims.load(), 0);
-
-  // Repeated signals (what a blocked governor Acquire delivers in
-  // production) cross the smaller patience first; the round clock
-  // stays put throughout.
-  auto signal_until = [&ex](auto fired) {
-    auto until = std::chrono::steady_clock::now() + 10s;
-    while (!fired()) {
-      if (std::chrono::steady_clock::now() > until) return false;
-      ex.RequestReclaimTick();
-      std::this_thread::sleep_for(1ms);
-    }
-    return true;
-  };
-  ASSERT_TRUE(signal_until([&] { return stale_reclaims.load() == 1; }));
-  EXPECT_EQ(ex.dispatch_rounds(), rounds_before);
-  EXPECT_EQ(fresh_reclaims.load(), 0);  // patience 60 not yet met
-
-  // Further signals eventually peel off the higher-patience tenant too.
-  ASSERT_TRUE(signal_until([&] { return fresh_reclaims.load() == 1; }));
-  EXPECT_EQ(stale_reclaims.load(), 1);  // still one-shot until re-armed
-
-  // With every policy fired, further requests are no-ops.
-  ex.RequestReclaimTick();
-  std::this_thread::sleep_for(50ms);
-  EXPECT_EQ(stale_reclaims.load(), 1);
-  EXPECT_EQ(fresh_reclaims.load(), 1);
-}
-
-TEST(ExecutorTest, ReclaimTickNeverFiresTenantsActiveBetweenSignals) {
-  // The mark/confirm protocol's point: a tenant that keeps draining
-  // (NoteActivity between signals) resets its inactivity window and is
-  // never reclaimed by contention — even with a far smaller patience —
-  // while a genuinely idle one yields; once the active tenant stops,
-  // it yields too.
-  Executor ex({.threads = 1});
-  auto stale = ex.CreateTenant();
-  auto active = ex.CreateTenant();
-  std::atomic<int> stale_reclaims{0};
-  std::atomic<int> active_reclaims{0};
-  stale->SetIdleReclaim(25, [&stale_reclaims] { ++stale_reclaims; });
-  active->SetIdleReclaim(5, [&active_reclaims] { ++active_reclaims; });
-
-  // Keep `active` draining across the whole signal storm: its mark can
-  // never age 5 signals, so the idle `stale` tenant yields first
-  // despite needing 5× the patience.
-  auto until = std::chrono::steady_clock::now() + 10s;
-  while (stale_reclaims.load() == 0 &&
-         std::chrono::steady_clock::now() < until) {
-    active->NoteActivity();
-    ex.RequestReclaimTick();
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_EQ(stale_reclaims.load(), 1);
-  EXPECT_EQ(active_reclaims.load(), 0);
-
-  // Once `active` stops draining, its patience window can finally
-  // elapse and it yields as well.
-  while (active_reclaims.load() == 0 &&
-         std::chrono::steady_clock::now() < until) {
-    ex.RequestReclaimTick();
-    std::this_thread::sleep_for(1ms);
-  }
-  ASSERT_EQ(active_reclaims.load(), 1);
-  EXPECT_EQ(stale_reclaims.load(), 1);
-}
-
 TEST(ExecutorTest, DeadlineClassDrainsEarliestEnqueuedFirst) {
   // Three same-weight deadline tenants plus a non-deadline bystander.
   // Within the class, claims follow global enqueue order regardless of

@@ -201,39 +201,5 @@ TEST(MemoryGovernorTest, WatermarkTracksPeakNotCurrent) {
   gov.Release(4);
 }
 
-TEST(MemoryGovernorTest, ContentionHookFiresWhileDemandsAreBlockedOnly) {
-  // The waiter-driven reclaim trigger's signal: once when an Acquire
-  // parks, then repeatedly on the re-signal interval while it stays
-  // blocked — never for satisfied demands, routine TryAcquire denials,
-  // or after the last waiter is granted (Releases themselves fire
-  // nothing; the blocked waiter is its own clock).
-  MemoryGovernor gov(4);
-  std::atomic<int> fires{0};
-  gov.AddContentionHook([&fires] {
-    ++fires;
-    return true;  // stays registered
-  });
-
-  ASSERT_TRUE(gov.TryAcquire(3));
-  EXPECT_TRUE(gov.Acquire(1).ok());  // granted inline: no contention
-  EXPECT_EQ(fires.load(), 0);
-  EXPECT_FALSE(gov.TryAcquire(1));  // opportunistic denial: no contention
-  EXPECT_EQ(fires.load(), 0);
-
-  std::thread waiter([&] { EXPECT_TRUE(gov.Acquire(3).ok()); });
-  ASSERT_TRUE(WaitFor([&] { return fires.load() >= 1; }));  // parked
-
-  gov.Release(1);  // 2 free < 3 demanded: waiter stays blocked...
-  ASSERT_TRUE(WaitFor([&] { return fires.load() >= 2; }));  // ...and re-signals
-  gov.Release(2);  // grants the waiter; nobody left starving
-  waiter.join();
-  int at_grant = fires.load();
-  std::this_thread::sleep_for(60ms);
-  EXPECT_EQ(fires.load(), at_grant);  // signals stop with the contention
-  gov.Release(1 + 3);
-  EXPECT_EQ(gov.in_use(), 0u);
-  EXPECT_TRUE(gov.health().ok());
-}
-
 }  // namespace
 }  // namespace bgps::core

@@ -43,13 +43,11 @@ class LiveFaultTest : public ::testing::Test {
   Result<std::unique_ptr<pool::LiveSource>> MakeSource(
       const std::string& spool,
       std::shared_ptr<core::MemoryGovernor> governor = nullptr,
-      std::shared_ptr<core::Executor> executor = nullptr,
       size_t flush_records = 1000) {
     pool::LiveSource::Options opt;
     opt.spool_dir = Path(spool);
     opt.flush_records = flush_records;
     opt.governor = std::move(governor);
-    opt.executor = std::move(executor);
     return pool::LiveSource::Create(std::move(opt));
   }
 
@@ -277,15 +275,14 @@ TEST_F(LiveFaultTest, GovernorFullParksIngestThenWaiterDrivenResume) {
   }
   Bytes wire = livetest::EncodeSession(frames);
 
-  auto source = MakeSource("spool", (*pool)->governor(), (*pool)->executor(),
+  auto source = MakeSource("spool", (*pool)->governor(),
                            /*flush_records=*/2 * kBudget);
   ASSERT_TRUE(source.ok());
 
   // The live tenant exists from the start but does not consume yet.
   auto stream = (*pool)->CreateStream(
       livetest::LiveStreamOptions(),
-      {.weight = 4, .deadline = true, .name = "live",
-       .idle_reclaim_rounds = std::nullopt});
+      {.weight = 4, .deadline = true, .name = "live"});
   stream->SetLive(0);
   stream->SetDataInterface((*source)->feed());
   ASSERT_TRUE(stream->Start().ok());

@@ -114,14 +114,12 @@ TEST(LiveReplayStressTest, LiveTenantPlusTwoBackfillsUnderOneLedger) {
   sopt.spool_dir = spool.string();
   sopt.flush_records = 64;
   sopt.governor = (*pool)->governor();
-  sopt.executor = (*pool)->executor();
   auto source = pool::LiveSource::Create(std::move(sopt));
   ASSERT_TRUE(source.ok()) << source.status().ToString();
 
   auto live = (*pool)->CreateStream(
       livetest::LiveStreamOptions(),
-      {.weight = 4, .deadline = true, .name = "live",
-       .idle_reclaim_rounds = std::nullopt});
+      {.weight = 4, .deadline = true, .name = "live"});
   live->SetLive(0);
   live->SetDataInterface((*source)->feed());
   ASSERT_TRUE(live->Start().ok());
@@ -159,8 +157,7 @@ TEST(LiveReplayStressTest, LiveTenantPlusTwoBackfillsUnderOneLedger) {
     backfill_threads.emplace_back([&, i] {
       auto stream = (*pool)->CreateStream(
           {}, {.weight = 1, .deadline = false,
-               .name = "backfill-" + std::to_string(i),
-               .idle_reclaim_rounds = std::nullopt});
+               .name = "backfill-" + std::to_string(i)});
       livetest::VectorDataInterface di(corpus.updates_files);
       stream->SetInterval(0, 4102444800);
       stream->SetDataInterface(&di);

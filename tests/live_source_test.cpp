@@ -234,7 +234,6 @@ TEST_F(LiveSourceTest, BmpSessionThroughPoolDeadlineTenant) {
   opt.spool_dir = Path("spool");
   opt.flush_records = 1000;
   opt.governor = (*pool)->governor();
-  opt.executor = (*pool)->executor();
   auto source = pool::LiveSource::Create(std::move(opt));
   ASSERT_TRUE(source.ok());
   ASSERT_TRUE((*source)->IngestBmp(livetest::EncodeSession(frames)).ok());
@@ -244,8 +243,7 @@ TEST_F(LiveSourceTest, BmpSessionThroughPoolDeadlineTenant) {
   {
     auto stream = (*pool)->CreateStream(
         livetest::LiveStreamOptions(),
-        {.weight = 4, .deadline = true, .name = "live",
-         .idle_reclaim_rounds = std::nullopt});
+        {.weight = 4, .deadline = true, .name = "live"});
     stream->SetLive(0);
     stream->SetDataInterface((*source)->feed());
     ASSERT_TRUE(stream->Start().ok());

@@ -238,8 +238,8 @@ TEST(PipelineOptionsTest, PrefetchWithoutInjectedRuntimeFailsStart) {
 // diagnostics users will see.
 TEST(PipelineOptionsTest, RuntimeLayerKnobCombosFailStartExactly) {
   const std::string sync_only =
-      "executor, governor, max_records_in_flight and idle_reclaim_rounds "
-      "require prefetch_subsets > 0 (the synchronous path never decodes "
+      "executor, governor and max_records_in_flight require "
+      "prefetch_subsets > 0 (the synchronous path never decodes "
       "off-thread)";
   {
     // Each async knob on the synchronous path.
@@ -249,9 +249,7 @@ TEST(PipelineOptionsTest, RuntimeLayerKnobCombosFailStartExactly) {
     governor_only.governor = std::make_shared<MemoryGovernor>(64);
     BgpStream::Options cap_only;
     cap_only.max_records_in_flight = 64;
-    BgpStream::Options reclaim_only;
-    reclaim_only.idle_reclaim_rounds = 10;
-    for (auto& opt : {executor_only, governor_only, cap_only, reclaim_only}) {
+    for (auto& opt : {executor_only, governor_only, cap_only}) {
       Status st = StartStatus(opt);
       ASSERT_FALSE(st.ok());
       EXPECT_EQ(st.message(), sync_only);
@@ -286,7 +284,6 @@ TEST(PipelineOptionsTest, RuntimeLayerKnobCombosFailStartExactly) {
       BgpStream::Options opt;
       opt.prefetch_subsets = 2;
       opt.max_records_in_flight = cap;
-      opt.idle_reclaim_rounds = 10;
       opt.executor =
           std::make_shared<Executor>(Executor::Options{.threads = 2});
       opt.governor = std::make_shared<MemoryGovernor>(64);

@@ -349,41 +349,48 @@ TEST_F(StreamPoolTest, WeightedTenantsMatchTheSyncStreamAndShowInStats) {
   EXPECT_EQ(snap.streams_created, 2u);
 }
 
-TEST_F(StreamPoolTest, IdleTenantReclaimReleasesBudgetAndPreservesOutput) {
-  StreamRun expect = RunSync(0);
+// A paused consumer keeps its buffered records, and their leases, until
+// it resumes. Capping the stream bounds what it can hold, so a rival on
+// the same pool still drains its whole archive while the victim sleeps.
+TEST_F(StreamPoolTest, PausedTenantWithinItsCapDoesNotStarveARival) {
+  StreamRun expect_victim = RunSync(0);
+  StreamRun expect_rival = RunSync(1);
 
+  constexpr size_t kBudget = 64;
+  constexpr size_t kVictimCap = 2 * kFilesPerTenant;  // 2 records per file
   StreamPool::Options popt;
   popt.threads = 2;
-  popt.record_budget = 64;
+  popt.record_budget = kBudget;
   auto pool = StreamPool::Create(popt);
   ASSERT_TRUE(pool.ok());
 
-  auto stream = (*pool)->CreateStream(
-      {}, {.weight = 1, .name = "victim", .idle_reclaim_rounds = 25});
+  BgpStream::Options vopt;
+  vopt.max_records_in_flight = kVictimCap;
+  auto victim = (*pool)->CreateStream(std::move(vopt), {.name = "victim"});
   VectorDataInterface di(archives_[0]);
-  stream->SetInterval(0, 4102444800);
-  stream->SetDataInterface(&di);
-  ASSERT_TRUE(stream->Start().ok());
+  victim->SetInterval(0, 4102444800);
+  victim->SetDataInterface(&di);
+  ASSERT_TRUE(victim->Start().ok());
 
-  // Drain part of the archive, then pause the consumer with the decode
-  // pipeline loaded.
   StreamRun got;
-  constexpr size_t kBeforePause = 40;
-  for (size_t i = 0; i < kBeforePause; ++i) {
-    auto rec = stream->NextRecord();
-    ASSERT_TRUE(rec.has_value());
-    got.records.emplace_back(rec->timestamp, rec->collector,
-                             int(rec->dump_type), int(rec->status),
-                             int(rec->position));
-    for (const auto& e : stream->Elems(*rec)) {
+  auto take = [&](const core::Record& rec) {
+    got.records.emplace_back(rec.timestamp, rec.collector,
+                             int(rec.dump_type), int(rec.status),
+                             int(rec.position));
+    for (const auto& e : victim->Elems(rec)) {
       got.elems.emplace_back(int(e.type), e.time, e.peer_asn,
                              e.has_prefix() ? e.prefix.ToString() : "-",
                              e.as_path.ToString());
     }
+  };
+  for (int i = 0; i < 10; ++i) {
+    auto rec = victim->NextRecord();
+    ASSERT_TRUE(rec.has_value());
+    take(*rec);
   }
 
-  // The workers fill the buffers while the consumer is paused...
-  auto deadline_ok = [&](auto pred) {
+  // Paused: the workers top the victim's buffers up to its cap.
+  auto deadline_ok = [](auto pred) {
     auto until = std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (!pred()) {
       if (std::chrono::steady_clock::now() > until) return false;
@@ -391,55 +398,39 @@ TEST_F(StreamPoolTest, IdleTenantReclaimReleasesBudgetAndPreservesOutput) {
     }
     return true;
   };
-  ASSERT_TRUE(
-      deadline_ok([&] { return stream->stats().records_buffered >= 20; }));
-  size_t in_use_before = (*pool)->records_in_use();
-  ASSERT_GE(in_use_before, 20u);
-
-  // ...and they stay parked: with no budget contention, the
-  // waiter-driven clock never moves, so no reclaim fires no matter how
-  // long the consumer stays away.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(stream->stats().reclaims, 0u);
-  EXPECT_GE((*pool)->records_in_use(), 20u);
-
-  // The moment another demand blocks on the governor, the contention
-  // hook jumps the executor's round clock to the victim's reclaim
-  // deadline: its buffers drop and the leases release down to the
-  // per-file floors — which is exactly what lets the blocked demand
-  // proceed. Reclaim latency tracks contention, not wall time.
-  std::thread rival([&] {
-    Status st = (*pool)->governor()->Acquire(64 - kFilesPerTenant);
-    EXPECT_TRUE(st.ok()) << st.ToString();
-    (*pool)->governor()->Release(64 - kFilesPerTenant);
-  });
-  ASSERT_TRUE(deadline_ok([&] { return stream->stats().reclaims > 0; }));
-  ASSERT_TRUE(
-      deadline_ok([&] { return stream->stats().records_buffered == 0; }));
   ASSERT_TRUE(deadline_ok(
-      [&] { return (*pool)->records_in_use() < in_use_before; }));
-  rival.join();
-  EXPECT_LE((*pool)->records_in_use(),
-            size_t(kFilesPerTenant));  // floors only
+      [&] { return victim->stats().records_buffered == kVictimCap; }));
+  EXPECT_LE((*pool)->records_in_use(), kVictimCap);
 
-  // Resume: the dropped records are re-decoded from the stored byte
-  // checkpoints (SubmitUrgent + O(1) seek, no re-read of the consumed
-  // prefix) and the full output is identical to the never-reclaimed
-  // synchronous run.
-  while (auto rec = stream->NextRecord()) {
-    got.records.emplace_back(rec->timestamp, rec->collector,
-                             int(rec->dump_type), int(rec->status),
-                             int(rec->position));
-    for (const auto& e : stream->Elems(*rec)) {
-      got.elems.emplace_back(int(e.type), e.time, e.peer_asn,
-                             e.has_prefix() ? e.prefix.ToString() : "-",
-                             e.as_path.ToString());
-    }
-  }
-  EXPECT_TRUE(stream->status().ok());
-  EXPECT_EQ(got.records, expect.records);
-  EXPECT_EQ(got.elems, expect.elems);
-  EXPECT_GT(stream->stats().reclaims, 0u);
+  // The rival drains its whole archive while the victim stays paused.
+  // Were it starved, destroying the victim frees the budget so the
+  // join returns and the test fails instead of hanging.
+  StreamRun rival;
+  std::atomic<bool> rival_done{false};
+  std::thread rival_thread([&] {
+    rival = RunTenant(1, (*pool)->CreateStream({}, {.name = "rival"}));
+    rival_done = true;
+  });
+  bool rival_finished = deadline_ok([&] { return rival_done.load(); });
+  if (!rival_finished) victim.reset();
+  rival_thread.join();
+  ASSERT_TRUE(rival_finished) << "the paused victim starved the rival";
+  EXPECT_TRUE(rival.status.ok()) << rival.status.ToString();
+  EXPECT_EQ(rival.records, expect_rival.records);
+  EXPECT_EQ(rival.elems, expect_rival.elems);
+  // Nothing was taken back from the paused victim.
+  EXPECT_EQ(victim->stats().records_buffered, kVictimCap);
+
+  // Resumed, the victim's full output is the synchronous stream's.
+  while (auto rec = victim->NextRecord()) take(*rec);
+  EXPECT_TRUE(victim->status().ok()) << victim->status().ToString();
+  EXPECT_EQ(got.records, expect_victim.records);
+  EXPECT_EQ(got.elems, expect_victim.elems);
+
+  victim.reset();
+  EXPECT_LE((*pool)->max_records_in_use(), kBudget);
+  EXPECT_EQ((*pool)->records_in_use(), 0u);
+  EXPECT_TRUE((*pool)->governor()->health().ok());
 }
 
 TEST_F(StreamPoolTest, StatsSnapshotInvariantsHoldUnderConcurrentStreams) {
@@ -554,7 +545,7 @@ TEST_F(StreamPoolTest, StartRejectsBadTenantKnobsWithExactMessages) {
   }
   {
     BgpStream::Options opt;
-    opt.idle_reclaim_rounds = 10;  // synchronous: nothing to reclaim
+    opt.max_records_in_flight = 16;  // synchronous: nothing to cap
     BgpStream stream(std::move(opt));
     VectorDataInterface di(archives_[0]);
     stream.SetInterval(0, 4102444800);
@@ -562,9 +553,9 @@ TEST_F(StreamPoolTest, StartRejectsBadTenantKnobsWithExactMessages) {
     Status st = stream.Start();
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.message(),
-              "executor, governor, max_records_in_flight and "
-              "idle_reclaim_rounds require prefetch_subsets > 0 (the "
-              "synchronous path never decodes off-thread)");
+              "executor, governor and max_records_in_flight require "
+              "prefetch_subsets > 0 (the synchronous path never decodes "
+              "off-thread)");
   }
 }
 
@@ -596,7 +587,7 @@ TEST(StreamPoolStatsJsonTest, EmitsEveryFieldAndEscapesTenantNames) {
   t.weight = 4;
   t.deadline = true;
   t.stats = {.records_emitted = 11, .queue_depth = 2, .tasks_executed = 6,
-             .files_decoded = 3, .records_buffered = 8, .reclaims = 1};
+             .files_decoded = 3, .records_buffered = 8};
   snap.tenants.push_back(t);
   EXPECT_EQ(SnapshotJson(snap),
             "{\"executor\":{\"threads\":2,\"tasks_run\":7,"
@@ -606,7 +597,7 @@ TEST(StreamPoolStatsJsonTest, EmitsEveryFieldAndEscapesTenantNames) {
             "\"tenants\":[{\"name\":\"a\\\"b\\\\c\\u0001d\",\"weight\":4,"
             "\"deadline\":true,\"queue_depth\":2,\"tasks_executed\":6,"
             "\"files_decoded\":3,\"records_buffered\":8,"
-            "\"records_emitted\":11,\"reclaims\":1}]}");
+            "\"records_emitted\":11}]}");
 }
 
 }  // namespace

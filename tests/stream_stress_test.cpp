@@ -8,7 +8,6 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <filesystem>
 #include <thread>
 #include <tuple>
@@ -192,84 +191,6 @@ TEST_F(StreamStressTest, FourTenantsTightBudgetMatchTheSyncPath) {
   EXPECT_GT((*pool)->max_records_in_use(), 0u);
   EXPECT_LE((*pool)->max_records_in_use(), kBudget);
   // Everything drained and released: the governor ledger balances to 0.
-  EXPECT_EQ((*pool)->records_in_use(), 0u);
-}
-
-TEST_F(StreamStressTest, PausedTenantIsReclaimedUnderCorpusLoadThenResumes) {
-  const Corpus& corpus = GetCorpus();
-
-  StreamPool::Options popt;
-  popt.threads = 3;
-  popt.record_budget = 128;
-  auto pool = StreamPool::Create(popt);
-  ASSERT_TRUE(pool.ok());
-
-  // The victim: drains a little, then parks with its buffers loaded.
-  auto victim = (*pool)->CreateStream(
-      {}, {.weight = 1, .name = "parked", .idle_reclaim_rounds = 10});
-  VectorDataInterface vdi(corpus.files);
-  victim->SetInterval(0, 4102444800);
-  victim->SetDataInterface(&vdi);
-  ASSERT_TRUE(victim->Start().ok());
-
-  StreamRun parked;
-  constexpr size_t kBeforePause = 100;
-  for (size_t i = 0; i < kBeforePause; ++i) {
-    auto rec = victim->NextRecord();
-    ASSERT_TRUE(rec.has_value());
-    parked.records.emplace_back(rec->timestamp, rec->collector,
-                                int(rec->dump_type), int(rec->status),
-                                int(rec->position));
-    for (const auto& e : victim->Elems(*rec)) {
-      parked.elems.emplace_back(int(e.type), e.time, e.peer_asn,
-                                e.has_prefix() ? e.prefix.ToString() : "-",
-                                e.as_path.ToString());
-    }
-  }
-  // Let the workers load the victim's buffers before the rivals start.
-  auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (victim->stats().records_buffered < 10 &&
-         std::chrono::steady_clock::now() < until) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_GE(victim->stats().records_buffered, 10u);
-
-  // Two rivals drain the whole corpus while the victim sleeps; their
-  // budget demand drives the contention hook, which must reclaim the
-  // parked tenant's buffers instead of starving the rivals.
-  std::vector<StreamRun> rivals(2);
-  {
-    std::vector<std::thread> consumers;
-    for (int t = 0; t < 2; ++t) {
-      consumers.emplace_back([&, t] {
-        StreamPool::TenantOptions topt;
-        topt.weight = 2;
-        topt.name = "rival-" + std::to_string(t);
-        rivals[size_t(t)] = RunTenant((*pool)->CreateStream({}, topt));
-      });
-    }
-    for (auto& c : consumers) c.join();
-  }
-  for (int t = 0; t < 2; ++t) {
-    EXPECT_EQ(rivals[size_t(t)].records, corpus.reference.records)
-        << "rival " << t;
-    EXPECT_TRUE(rivals[size_t(t)].status.ok()) << "rival " << t;
-  }
-  EXPECT_GT(victim->stats().reclaims, 0u)
-      << "corpus-scale contention never reclaimed the parked tenant";
-
-  // The parked tenant resumes and its total output is still exactly the
-  // sync-path fingerprint — reclaim must be invisible in the stream.
-  StreamRun rest = Drain(*victim);
-  ASSERT_TRUE(rest.status.ok());
-  parked.records.insert(parked.records.end(), rest.records.begin(),
-                        rest.records.end());
-  parked.elems.insert(parked.elems.end(), rest.elems.begin(),
-                      rest.elems.end());
-  EXPECT_EQ(parked.records, corpus.reference.records);
-  EXPECT_EQ(parked.elems, corpus.reference.elems);
-
-  victim.reset();
   EXPECT_EQ((*pool)->records_in_use(), 0u);
 }
 

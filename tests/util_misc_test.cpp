@@ -207,6 +207,28 @@ TEST(Time, ParseTimeWindow) {
   }
 }
 
+TEST(Time, ParseCountFlag) {
+  auto zero = ParseCountFlag("-n", "0");
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(*zero, 0u);
+  auto big = ParseCountFlag("-n", "18446744073709551615");
+  ASSERT_TRUE(big.ok());
+  EXPECT_EQ(*big, size_t(-1));
+
+  // strtoull took "abc" as 0 (= unlimited), wrapped "-1" and dropped
+  // trailing text; the whole token must be a non-negative number.
+  for (const char* token :
+       {"", "abc", "-1", "+3", "3x", " 3", "18446744073709551616"}) {
+    auto n = ParseCountFlag("--pool-threads", token);
+    ASSERT_FALSE(n.ok()) << token;
+    EXPECT_EQ(n.status().code(), StatusCode::InvalidArgument) << token;
+    EXPECT_EQ(n.status().message(),
+              std::string("--pool-threads must be a whole non-negative "
+                          "number, got \"") + token + "\"")
+        << token;
+  }
+}
+
 TEST(Strings, Split) {
   auto parts = SplitString("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);

@@ -94,6 +94,7 @@ int main(int argc, char** argv) {
   if (plugin_specs.empty()) plugin_specs.push_back("rt");
 
   broker::Broker broker(archive);
+  if (!broker.scan_status().ok()) return fail(broker.scan_status().ToString());
   core::BrokerDataInterface di(&broker);
   stream.SetInterval(start, end);
   stream.SetDataInterface(&di);

@@ -164,6 +164,8 @@ int main(int argc, char** argv) {
   if (bounded && batch_records > budget)
     return fail("--batch-records must be <= --budget "
                 "(a batch leases one slot per record)");
+  broker::Broker broker(archive, {});
+  if (!broker.scan_status().ok()) return fail(broker.scan_status().ToString());
 
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
@@ -186,7 +188,6 @@ int main(int argc, char** argv) {
   std::fprintf(stderr, "bgpfanout: listening on 127.0.0.1:%u\n",
                unsigned(server.port()));
 
-  broker::Broker broker(archive, {});
   core::BrokerDataInterface di(&broker);
   auto stream = (*pool)->CreateStream({}, {.name = "publisher"});
   stream->SetInterval(window_start, window_end);

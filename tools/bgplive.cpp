@@ -159,7 +159,6 @@ int main(int argc, char** argv) {
   sopt.spool_dir = spool;
   sopt.flush_records = flush_records;
   sopt.governor = (*pool)->governor();
-  sopt.executor = (*pool)->executor();
   auto source = pool::LiveSource::Create(std::move(sopt));
   if (!source.ok()) return fail(source.status().ToString());
 

@@ -113,11 +113,11 @@ void DumpPoolStats(const StreamPool& pool, bool json, std::FILE* out) {
   for (const auto& t : snap.tenants) {
     std::fprintf(out,
                  "[pool]   tenant %s weight=%zu%s queue=%zu tasks=%zu "
-                 "files=%zu buffered=%zu emitted=%zu reclaims=%zu\n",
+                 "files=%zu buffered=%zu emitted=%zu\n",
                  t.name.c_str(), t.weight, t.deadline ? " deadline" : "",
                  t.stats.queue_depth, t.stats.tasks_executed,
                  t.stats.files_decoded, t.stats.records_buffered,
-                 t.stats.records_emitted, t.stats.reclaims);
+                 t.stats.records_emitted);
   }
   std::fflush(out);
 }
@@ -210,17 +210,23 @@ int main(int argc, char** argv) {
     } else if (arg == "--pool-threads") {
       const char* v = need_value();
       if (!v) return fail("--pool-threads needs a count");
-      pool_threads = size_t(std::strtoull(v, nullptr, 10));
+      Result<size_t> n = ParseCountFlag(arg, v);
+      if (!n.ok()) return fail(n.status().message());
+      pool_threads = *n;
       if (pool_threads == 0) return fail("--pool-threads must be > 0");
     } else if (arg == "--pool-budget") {
       const char* v = need_value();
       if (!v) return fail("--pool-budget needs a record count");
-      pool_budget = size_t(std::strtoull(v, nullptr, 10));
+      Result<size_t> n = ParseCountFlag(arg, v);
+      if (!n.ok()) return fail(n.status().message());
+      pool_budget = *n;
       if (pool_budget == 0) return fail("--pool-budget must be > 0");
     } else if (arg == "--pool-weight") {
       const char* v = need_value();
       if (!v) return fail("--pool-weight needs a weight");
-      pool_weight = size_t(std::strtoull(v, nullptr, 10));
+      Result<size_t> n = ParseCountFlag(arg, v);
+      if (!n.ok()) return fail(n.status().message());
+      pool_weight = *n;
       if (pool_weight == 0) return fail("--pool-weight must be >= 1");
     } else if (arg == "--pool-deadline") {
       pool_deadline = true;
@@ -243,7 +249,9 @@ int main(int argc, char** argv) {
     } else if (arg == "-n") {
       const char* v = need_value();
       if (!v) return fail("-n needs a count");
-      out_options.max_elems = size_t(std::strtoull(v, nullptr, 10));
+      Result<size_t> n = ParseCountFlag(arg, v);
+      if (!n.ok()) return fail(n.status().message());
+      out_options.max_elems = *n;
     } else if (arg == "-h" || arg == "--help") {
       Usage();
       return 0;
@@ -309,6 +317,8 @@ int main(int argc, char** argv) {
   std::unique_ptr<core::DataInterface> di;
   if (!archive.empty()) {
     broker = std::make_unique<broker::Broker>(archive);
+    if (!broker->scan_status().ok())
+      return fail(broker->scan_status().ToString());
     di = std::make_unique<core::BrokerDataInterface>(broker.get());
     stream->SetInterval(start, end);
   } else {
