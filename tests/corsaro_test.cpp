@@ -439,6 +439,104 @@ TEST(RtUnit, E2OlderRibRecordDoesNotOverwriteNewerUpdate) {
   EXPECT_EQ(table.begin()->second.as_path.ToString(), "65001 222");
 }
 
+// The stale check after a RIB dump keeps a main cell only if it changed
+// after the dump floor, and the floor is the timestamp of the staged
+// entry with the *smallest prefix* — neither the first record of the
+// dump nor its earliest or latest timestamp. No fixture reaches a case
+// where these differ, so a flat table could silently change the rule.
+TEST(RtUnit, RibDumpFloorIsTheSmallestPrefixesTimestamp) {
+  RoutingTables rt;
+  auto feed = [&](core::Record& rec, const std::vector<core::Elem>& elems) {
+    RecordContext ctx{rec, elems, {}};
+    rt.OnRecord(ctx);
+  };
+  auto elem = [](core::ElemType type, Timestamp t, const char* prefix) {
+    core::Elem e;
+    e.type = type;
+    e.time = t;
+    e.peer_asn = 65001;
+    e.prefix = P(prefix);
+    e.as_path = bgp::AsPath::Sequence({65001, 15169});
+    return e;
+  };
+  VpKey vp{"c", 65001};
+
+  // Two routes learned from updates, absent from the coming dump.
+  core::Record upd;
+  upd.collector = "c";
+  upd.dump_type = core::DumpType::Updates;
+  feed(upd, {elem(core::ElemType::Announcement, 250, "30.0.0.0/8"),
+             elem(core::ElemType::Announcement, 350, "40.0.0.0/8")});
+
+  // The dump's first record (20/8 at 200) carries its earliest time,
+  // the smallest prefix (10/8) is staged at 300, the last record at 400.
+  core::Record rib;
+  rib.collector = "c";
+  rib.dump_type = core::DumpType::Rib;
+  rib.position = core::DumpPosition::Start;
+  feed(rib, {elem(core::ElemType::RibEntry, 200, "20.0.0.0/8")});
+  rib.position = core::DumpPosition::Middle;
+  feed(rib, {elem(core::ElemType::RibEntry, 300, "10.0.0.0/8")});
+  feed(rib, {elem(core::ElemType::RibEntry, 400, "25.0.0.0/8")});
+  rib.position = core::DumpPosition::End;
+  feed(rib, {});
+
+  // Floor 300: 30/8 (250) is withdrawn, 40/8 (350) is kept. A floor of
+  // 200 would keep both; a floor of 400 would withdraw both.
+  std::set<Prefix> announced;
+  for (const auto& [prefix, cell] : rt.table(vp)) announced.insert(prefix);
+  EXPECT_EQ(announced, (std::set<Prefix>{P("10.0.0.0/8"), P("20.0.0.0/8"),
+                                         P("25.0.0.0/8"), P("40.0.0.0/8")}));
+}
+
+// Withdrawing a prefix the VP never announced still creates a withdrawn
+// main cell. That cell makes the VP's table non-empty, so a RIB dump
+// without the VP declares it down (the absent-from-RIB rule) instead of
+// leaving it up.
+TEST(RtUnit, WithdrawnUnknownPrefixCountsForAbsentFromRib) {
+  RoutingTables rt;
+  auto feed = [&](core::Record& rec, const std::vector<core::Elem>& elems) {
+    RecordContext ctx{rec, elems, {}};
+    rt.OnRecord(ctx);
+  };
+  VpKey vp{"c", 65001};
+
+  core::Record upd;
+  upd.collector = "c";
+  upd.dump_type = core::DumpType::Updates;
+  core::Elem st;
+  st.type = core::ElemType::PeerState;
+  st.peer_asn = 65001;
+  st.new_state = bgp::FsmState::Established;
+  feed(upd, {st});
+  ASSERT_EQ(rt.state(vp), VpState::Up);
+  core::Elem wd;
+  wd.type = core::ElemType::Withdrawal;
+  wd.time = 100;
+  wd.peer_asn = 65001;
+  wd.prefix = P("10.0.0.0/8");
+  feed(upd, {wd});
+  EXPECT_TRUE(rt.table(vp).empty());
+
+  // A dump that carries another VP's routes only.
+  core::Record rib;
+  rib.collector = "c";
+  rib.dump_type = core::DumpType::Rib;
+  rib.position = core::DumpPosition::Start;
+  core::Elem other;
+  other.type = core::ElemType::RibEntry;
+  other.time = 200;
+  other.peer_asn = 65002;
+  other.prefix = P("20.0.0.0/8");
+  other.as_path = bgp::AsPath::Sequence({65002, 15169});
+  feed(rib, {other});
+  EXPECT_EQ(rt.state(vp), VpState::UpRibApplication);
+  rib.position = core::DumpPosition::End;
+  feed(rib, {});
+  EXPECT_EQ(rt.state(vp), VpState::Down);
+  EXPECT_EQ(rt.state(VpKey{"c", 65002}), VpState::Up);
+}
+
 TEST(RtUnit, StateMessagesDriveFsm) {
   RoutingTables rt;
   auto feed = [&](core::Record& rec, const std::vector<core::Elem>& elems) {

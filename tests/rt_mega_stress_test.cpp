@@ -18,6 +18,7 @@
 #include "corsaro/corsaro.hpp"
 #include "corsaro/rt.hpp"
 #include "sim/corpus.hpp"
+#include "tests/rt_digest.hpp"
 
 namespace bgps::corsaro {
 namespace {
@@ -35,39 +36,7 @@ sim::SyntheticRibOptions MegaRibOptions() {
   return options;
 }
 
-// Streaming digest of everything the plugin emits: at this scale we
-// fingerprint with an order-sensitive FNV-1a hash instead of buffering
-// millions of diff cells per run.
-struct Digest {
-  uint64_t hash = 1469598103934665603ull;
-  size_t diff_cells = 0;
-  size_t bins = 0;
-
-  void Mix(uint64_t v) {
-    for (int b = 0; b < 8; ++b) {
-      hash ^= (v >> (b * 8)) & 0xff;
-      hash *= 1099511628211ull;
-    }
-  }
-  void MixStr(const std::string& s) {
-    for (unsigned char c : s) {
-      hash ^= c;
-      hash *= 1099511628211ull;
-    }
-  }
-  void MixCell(const DiffCell& d) {
-    MixStr(d.vp.collector);
-    Mix(d.vp.peer);
-    MixStr(d.prefix.ToString());
-    Mix(uint64_t(d.cell.last_modified));
-    Mix(d.cell.announced ? 1 : 0);
-    for (const auto& seg : d.cell.as_path.segments()) {
-      for (bgp::Asn asn : seg.asns) Mix(asn);
-    }
-  }
-
-  bool operator==(const Digest&) const = default;
-};
+using Digest = testutil::RtDigest;
 
 struct RunResult {
   Digest digest;

@@ -23,6 +23,7 @@
 #include "corsaro/corsaro.hpp"
 #include "corsaro/rt.hpp"
 #include "sim/corpus.hpp"
+#include "tests/rt_digest.hpp"
 #include "tests/sim_fixture.hpp"
 
 namespace bgps::corsaro {
@@ -422,6 +423,144 @@ TEST(RtSharded, RibBoundaryEventsVisitOnlyTheOwnCollectorsVps) {
     EXPECT_EQ(rt.rib_boundary_visits() - before_abort, size_t(kVpsPer))
         << "shards=" << shards;
   }
+}
+
+// --- golden pins: the output itself, not only shard-count invariance ---
+// Every test above compares the sharded path with the sequential path of
+// the same build, so a change that alters both the same way would pass
+// them all. These pins hold the FNV-1a digest of the whole fingerprint
+// (diff events, snapshots, bin stats, accuracy counters, VP set, FSM
+// states and tables), plus a few of its totals so a failure says what
+// moved, to constants recorded from the map-based implementation. The
+// corpora draw from libstdc++'s std:: distributions, so the constants
+// hold for that standard library.
+
+uint64_t DigestOf(const Fingerprint& fp) {
+  testutil::RtDigest d;
+  d.Mix(fp.diff_events.size());
+  for (const auto& [bin_start, diffs] : fp.diff_events) {
+    d.Mix(uint64_t(bin_start));
+    d.Mix(diffs.size());
+    for (const auto& cell : diffs) d.MixCell(cell);
+  }
+  d.Mix(fp.snapshots.size());
+  for (const auto& [bin_start, vp, table] : fp.snapshots) {
+    d.Mix(uint64_t(bin_start));
+    d.Mix(table.size());
+    for (const auto& [prefix, cell] : table) d.MixCell(DiffCell{vp, prefix, cell});
+  }
+  d.Mix(fp.bins.size());
+  for (const auto& bin : fp.bins) {
+    d.Mix(uint64_t(bin.bin_start));
+    d.Mix(bin.elems);
+    d.Mix(bin.diff_cells);
+  }
+  d.Mix(fp.rib_compared);
+  d.Mix(fp.rib_mismatches);
+  d.Mix(fp.vps.size());
+  for (const auto& vp : fp.vps) {
+    d.MixStr(vp.collector);
+    d.Mix(vp.peer);
+    d.Mix(uint64_t(fp.states.at(vp)));
+    const auto& table = fp.tables.at(vp);
+    d.Mix(table.size());
+    for (const auto& [prefix, cell] : table) d.MixCell(DiffCell{vp, prefix, cell});
+  }
+  return d.hash;
+}
+
+struct Golden {
+  uint64_t digest;
+  size_t diff_cells;
+  size_t rib_compared;
+  size_t rib_mismatches;
+};
+
+void ExpectGolden(const Fingerprint& fp, const Golden& want,
+                  const std::string& label) {
+  size_t diff_cells = 0;
+  for (const auto& event : fp.diff_events) diff_cells += event.second.size();
+  EXPECT_EQ(diff_cells, want.diff_cells) << label;
+  EXPECT_EQ(fp.rib_compared, want.rib_compared) << label;
+  EXPECT_EQ(fp.rib_mismatches, want.rib_mismatches) << label;
+  EXPECT_EQ(DigestOf(fp), want.digest)
+      << label << ": digest 0x" << std::hex << DigestOf(fp);
+}
+
+// Runs `run` at shards 1 (inline) and 3 (on a 3-worker executor) and
+// checks both against the same pin.
+template <typename Run>
+void ExpectGoldenAtShards1And3(Run run, RoutingTables::Options options,
+                               const Golden& want, const std::string& label) {
+  core::Executor executor({.threads = 3});
+  for (size_t shards : {size_t(1), size_t(3)}) {
+    RoutingTables::Options opt = options;
+    opt.shards = shards;
+    opt.executor = shards > 1 ? &executor : nullptr;
+    ExpectGolden(run(opt), want, label + " shards=" + std::to_string(shards));
+  }
+}
+
+TEST(RtGolden, FixtureArchive) {
+  const auto& a = testutil::GetSmallArchive();
+  RoutingTables::Options opt;
+  opt.snapshot_every_bins = 2;
+  ExpectGoldenAtShards1And3(
+      [&](RoutingTables::Options o) {
+        return RunOverArchive(a.root, a.start, a.end, o);
+      },
+      opt, Golden{0x693ffbcb46244c91ull, 1497, 0, 0}, "fixture");
+}
+
+TEST(RtGolden, MixedScenarioCorpus) {
+  std::string root = (fs::temp_directory_path() /
+                      ("bgps_rt_golden_mixed_" + std::to_string(::getpid())))
+                         .string();
+  sim::CorpusOptions copt;
+  copt.scenario = "mixed";
+  copt.duration = 3600;
+  copt.flaps_per_hour = 1200;
+  copt.seed = 21;
+  auto stats = sim::GenerateCorpus(copt, root);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  RoutingTables::Options opt;
+  opt.snapshot_every_bins = 3;
+  ExpectGoldenAtShards1And3(
+      [&](RoutingTables::Options o) {
+        return RunOverArchive(root, stats->start, stats->end, o);
+      },
+      opt, Golden{0x65c50ca1f2fd0235ull, 6296, 0, 0}, "mixed");
+  std::error_code ec;
+  fs::remove_all(root, ec);
+}
+
+TEST(RtGolden, SyntheticRibCorpus) {
+  std::string root = (fs::temp_directory_path() /
+                      ("bgps_rt_golden_synth_" + std::to_string(::getpid())))
+                         .string();
+  sim::SyntheticRibOptions sopt;
+  sopt.prefixes = 2000;
+  sopt.vps = 16;
+  sopt.update_windows = 4;
+  sopt.churn_fraction = 0.05;
+  sopt.final_rib = true;
+  sopt.seed = 7;
+  auto stats = sim::GenerateSyntheticRib(sopt, root);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  RoutingTables::Options opt;
+  opt.snapshot_every_bins = 2;
+  ExpectGoldenAtShards1And3(
+      [&](RoutingTables::Options o) {
+        return RunOverArchive(root, stats->start, stats->end, o);
+      },
+      opt, Golden{0x8a39ac20abf0afebull, 9892, 9421, 0}, "synthetic");
+  std::error_code ec;
+  fs::remove_all(root, ec);
+}
+
+TEST(RtGolden, ScriptedCorruptRecords) {
+  ExpectGoldenAtShards1And3(
+      RunScripted, {}, Golden{0xf09dba5fbe92a466ull, 98, 3, 1}, "scripted");
 }
 
 TEST(RtSharded, ShardsWithoutExecutorApplyInline) {
