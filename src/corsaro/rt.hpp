@@ -26,12 +26,19 @@
 // back into global (VpKey, Prefix) order — the emitted diff stream,
 // bin stats, accuracy counters and per-VP tables are byte-identical to
 // the sequential path at any shard count. With shards == 1 or no
-// executor, ops apply inline with no queueing overhead.
+// executor, each batch applies inline on the caller's thread.
+//
+// Table layout (rt.cpp): a shard numbers the prefixes it sees and interns
+// each distinct (AS path, communities) set, so a VP's main table is a
+// dense vector of 16-byte cells {attribute id, last_modified, flags}
+// indexed by prefix id. A RIB dump stages into an append-only vector
+// that EndRib merges in one pass, and the cells touched in a bin are an
+// index of (prefix id, pre-bin value) sorted by prefix only when the bin
+// closes. RtCell values are built only when emitted.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <set>
 
 #include "core/strand.hpp"
 #include "corsaro/plugin.hpp"
@@ -76,7 +83,9 @@ struct RtBinStats {
 struct RtShardStats {
   size_t vps = 0;            // VPs owned by this shard
   size_t applied_elems = 0;  // update + RIB elems this shard applied
-  size_t batches = 0;        // apply batches its strand executed
+  size_t batches = 0;        // apply batches it ran (on its strand or inline)
+  double apply_s = 0.0;      // seconds spent in those batches, EndRib included
+  size_t attr_sets = 0;      // live interned (AS path, communities) sets
 };
 
 struct RoutingTablesOptions {
@@ -93,8 +102,9 @@ struct RoutingTablesOptions {
   // shard). Not owned; must outlive the plugin. nullptr forces inline
   // application regardless of `shards`.
   core::Executor* executor = nullptr;
-  // Elems buffered per shard before a batch is posted to its strand
-  // (amortizes queue traffic; flushed at every bin/introspection point).
+  // Elems buffered per shard before a batch is applied — posted to its
+  // strand, or run inline (amortizes queue traffic and the apply-time
+  // clock reads; flushed at every bin/introspection point).
   size_t batch_elems = 512;
 };
 
@@ -142,48 +152,13 @@ class RoutingTables : public Plugin {
   size_t rib_boundary_visits() const;
 
  private:
-  struct VpTable {
-    VpState state = VpState::Down;
-    std::map<Prefix, RtCell> main;
-    std::map<Prefix, RtCell> shadow;
-    bool in_current_rib = false;  // saw entries in the in-progress RIB dump
-    // Cells touched this bin, with their value at the start of the bin —
-    // a diff is emitted only if the content actually changed, so a flap
-    // that reverts within one bin publishes nothing (§6.2.2 redundancy
-    // elimination).
-    std::map<Prefix, RtCell> dirty;
-  };
+  // Per-shard state (VP tables, prefix ids, attribute intern table);
+  // defined in rt.cpp.
+  struct Shard;
 
-  // Per-collector bookkeeping for the in-progress RIB dump.
-  struct RibProgress {
-    bool active = false;
-    bool corrupt = false;  // E1 latch
-  };
-
-  // One VP partition. Only its strand (or the caller's thread, inline
-  // mode / after a drain) touches it, so no per-shard locking is needed.
-  struct Shard {
-    std::map<VpKey, VpTable> vps;
-    // Each shard tracks every collector's RIB progress independently
-    // (broadcast ops keep the copies in sync) so Vp() creation works
-    // without cross-shard reads.
-    std::map<std::string, RibProgress> rib_progress;
-    // Per-collector VP index: RIB boundary events visit exactly the
-    // collector's own VPs instead of scanning the whole table.
-    std::map<std::string, std::set<VpKey>> collector_vps;
-    // VPs touched this bin — bin-end diff collection visits only these.
-    std::set<VpKey> dirty_vps;
-    size_t rib_compared = 0;
-    size_t rib_mismatches = 0;
-    size_t applied_elems = 0;
-    size_t batches = 0;
-    size_t boundary_visits = 0;
-    // Bin-end scratch: this shard's diffs, already in (VpKey, Prefix)
-    // order, awaiting the global merge.
-    std::vector<DiffCell> bin_diffs;
-  };
-
-  // One buffered operation of a shard's apply stream.
+  // One buffered operation of a shard's apply stream. It carries only
+  // what apply reads: the interned collector id instead of its name, and
+  // no peer address or next hop.
   struct Op {
     enum class Kind : uint8_t {
       kUpdateElem,      // announcement / withdrawal / peer-state elem
@@ -193,47 +168,59 @@ class RoutingTables : public Plugin {
       kAbortRib,        // broadcast (E1)
       kUpdateCorrupt,   // broadcast (E3)
     };
-    Kind kind;
-    std::string collector;
-    core::Elem elem;  // valid for kUpdateElem / kRibElem
+    Kind kind = Kind::kUpdateElem;
+    core::ElemType type = core::ElemType::Announcement;
+    bool established = false;  // peer-state elem: new state is Established
+    uint32_t collector = 0;    // index into collector_names_
+    bgp::Asn peer = 0;
+    // The elem's (AS path, communities), encoded in Batch::words.
+    uint32_t attrs = 0;
+    uint32_t attrs_len = 0;
+    Timestamp time = 0;
+    Prefix prefix;
   };
 
-  // Marks `prefix` as touched, remembering its pre-bin value.
-  static void Touch(Shard& shard, const VpKey& key, VpTable& vp,
-                    const Prefix& prefix);
+  struct Batch {
+    std::vector<Op> ops;
+    std::vector<uint32_t> words;  // encoded attributes of every op
+  };
 
-  VpTable& Vp(Shard& shard, const VpKey& key);
-  static void Transition(VpTable& vp, VpInput input);
-  void ApplyUpdateElem(Shard& shard, const std::string& collector,
-                       const core::Elem& elem);
-  void ApplyRibElem(Shard& shard, const std::string& collector,
-                    const core::Elem& elem);
-  void BeginRib(Shard& shard, const std::string& collector);
-  void EndRib(Shard& shard, const std::string& collector);
-  void AbortRib(Shard& shard, const std::string& collector);
-  void CollectorUpdateCorrupt(Shard& shard, const std::string& collector);
-  void ApplyOp(Shard& shard, const Op& op);
-
-  size_t ShardOf(const std::string& collector, bgp::Asn peer) const;
+  size_t ShardOf(uint64_t collector_hash, bgp::Asn peer) const;
   bool threaded() const { return !strands_.empty(); }
-  // Routes one elem op to its shard (inline apply or batch buffer).
-  void RouteElem(Op::Kind kind, const std::string& collector,
-                 const core::Elem& elem);
+  uint32_t CollectorId(const std::string& name);
+  // The shard holding `vp`'s table, and the collector's id; nullptr when
+  // no record of the collector was seen.
+  const Shard* ShardFor(const VpKey& vp, uint32_t* collector) const;
+  // Buffers one elem op for its shard.
+  void RouteElem(Op::Kind kind, uint32_t collector, const core::Elem& elem);
   // Queues a collector-scoped event on every shard, in stream position.
-  void Broadcast(Op::Kind kind, const std::string& collector);
+  void Broadcast(Op::Kind kind, uint32_t collector);
+  void Push(size_t shard, const Op& op);
+  // Applies a shard's pending batch: inline, or posted to its strand.
   void FlushShard(size_t shard);
   // Flushes every pending batch and waits for all strands to go idle —
   // after this the caller's thread may touch any shard.
   void Drain() const;
-  // Collects per-shard diffs (on the shards' own strands when threaded)
-  // and merges them into global (VpKey, Prefix) order.
+  // Runs `fn` on every shard — on the shards' strands when threaded —
+  // and returns when all are done.
+  template <typename Fn>
+  void OnEachShard(Fn fn);
+  // Collects the bin's diffs in global (VpKey, Prefix) order: each shard
+  // settles its dirty index, then writes its cells straight into place.
   std::vector<DiffCell> CollectDiffs();
 
   Options options_;
   size_t shard_count_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Driver-thread batch buffers, one per shard (threaded mode only).
-  std::vector<std::vector<Op>> pending_;
+  // Driver-thread batch buffers, one per shard.
+  std::vector<Batch> pending_;
+  // Collector names by id. Only the driver thread appends; shards read
+  // them while it waits (bin-end collection).
+  std::map<std::string, uint32_t, std::less<>> collector_ids_;
+  std::vector<std::string> collector_names_;
+  // FNV-1a state after each name's bytes: ShardOf mixes in the peer.
+  std::vector<uint64_t> collector_hashes_;
+  uint32_t last_collector_ = 0;
   // Destruction order matters: strands drain against live tenants, so
   // strands_ (declared last) is destroyed first, then tenants_.
   std::vector<std::unique_ptr<core::Executor::Tenant>> tenants_;

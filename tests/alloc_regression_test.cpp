@@ -17,6 +17,7 @@
 
 #include "bgp/attrs.hpp"
 #include "core/prefetch.hpp"
+#include "corsaro/rt.hpp"
 #include "mrt/encode.hpp"
 #include "mrt/file.hpp"
 
@@ -30,7 +31,9 @@ size_t AllocCount() { return g_allocs.load(std::memory_order_relaxed); }
 
 // Counting shim over malloc/free. Every allocating form funnels through
 // these two; the aligned forms exist because standard containers may
-// over-align nodes.
+// over-align nodes. The deallocating forms stay out of line: inlined
+// into a caller, GCC pairs their free() with the operator new it can
+// see and warns of a mismatch.
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
@@ -47,16 +50,26 @@ void* operator new(std::size_t n, std::align_val_t al) {
 void* operator new[](std::size_t n, std::align_val_t al) {
   return ::operator new(n, al);
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
   std::free(p);
 }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::size_t,
+                                         std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -310,3 +323,101 @@ TEST(AllocRegressionTest, ChunkedStreamPathAllocatesBoundedPerRecord) {
 
 }  // namespace
 }  // namespace bgps::core
+
+namespace bgps::corsaro {
+namespace {
+
+// Routing-tables apply: interned attribute sets, dense per-VP tables, a
+// staged-dump vector and a dirty index that keep their capacity across
+// dumps and bins, so re-applying known prefixes with already-seen paths
+// allocates nothing per elem. Map-based tables allocated a dirty node on
+// each cell's first touch in a bin and a shadow node per RIB entry.
+class RtAllocFeed {
+ public:
+  explicit RtAllocFeed(size_t prefixes) {
+    std::vector<bgp::AsPath> paths;
+    for (bgp::Asn p = 0; p < 8; ++p)
+      paths.push_back(bgp::AsPath::Sequence({65001, 3356, 64512 + p}));
+    for (size_t i = 0; i < prefixes; ++i) {
+      core::Elem e;
+      e.peer_asn = 65001;
+      e.prefix = Prefix(IpAddress::V4(10, uint8_t(i >> 8), uint8_t(i), 0), 24);
+      e.as_path = paths[i % paths.size()];
+      e.communities.push_back(bgp::Community{65001, uint16_t(i % 3)});
+      e.type = core::ElemType::RibEntry;
+      rib_.push_back({e});
+      e.type = core::ElemType::Announcement;
+      updates_.push_back({e});
+    }
+  }
+
+  // One RIB dump of every prefix, all records stamped `t`.
+  void Rib(RoutingTables& rt, Timestamp t) {
+    for (size_t i = 0; i <= rib_.size(); ++i) {
+      core::Record rec;
+      rec.collector = "rrc00";
+      rec.dump_type = core::DumpType::Rib;
+      rec.timestamp = t;
+      rec.position = i == 0                ? core::DumpPosition::Start
+                     : i == rib_.size()    ? core::DumpPosition::End
+                                           : core::DumpPosition::Middle;
+      Feed(rt, rec, i < rib_.size() ? &rib_[i] : &none_, t);
+    }
+  }
+
+  // One updates record per prefix re-announcing its dump path.
+  void Updates(RoutingTables& rt, Timestamp t) {
+    for (auto& elems : updates_) {
+      core::Record rec;
+      rec.collector = "rrc00";
+      rec.dump_type = core::DumpType::Updates;
+      rec.timestamp = t;
+      Feed(rt, rec, &elems, t);
+    }
+  }
+
+ private:
+  static void Feed(RoutingTables& rt, const core::Record& rec,
+                   std::vector<core::Elem>* elems, Timestamp t) {
+    for (auto& e : *elems) e.time = t;
+    RecordContext ctx{rec, *elems, {}};
+    rt.OnRecord(ctx);
+  }
+
+  std::vector<std::vector<core::Elem>> rib_;
+  std::vector<std::vector<core::Elem>> updates_;
+  std::vector<core::Elem> none_;
+};
+
+TEST(AllocRegressionTest, RoutingTablesApplyAllocatesPerBinNotPerElem) {
+  for (size_t n : {size_t(1000), size_t(4000)}) {
+    RtAllocFeed feed(n);
+    RoutingTables rt;  // inline: every batch applies on this thread
+    feed.Rib(rt, 1000);
+    rt.OnBinEnd(0, 900);
+    feed.Updates(rt, 2000);
+    rt.OnBinEnd(900, 1800);
+
+    size_t before = AllocCount();
+    feed.Updates(rt, 3000);
+    rt.OnBinEnd(1800, 2700);
+    size_t bin_allocs = AllocCount() - before;
+
+    before = AllocCount();
+    feed.Rib(rt, 4000);
+    rt.OnBinEnd(2700, 3600);
+    size_t rib_allocs = AllocCount() - before;
+
+    EXPECT_LE(bin_allocs, 8u) << "a bin of " << n << " re-announcements";
+    EXPECT_LE(rib_allocs, 8u) << "a RIB dump of " << n << " entries";
+    // The apply really happened: one VP holds every prefix, and nothing
+    // changed content after the first dump.
+    EXPECT_EQ(rt.table(VpKey{"rrc00", 65001}).size(), n);
+    ASSERT_EQ(rt.bin_stats().size(), 4u);
+    EXPECT_EQ(rt.bin_stats()[0].diff_cells, n);
+    EXPECT_EQ(rt.bin_stats()[3].diff_cells, 0u);
+  }
+}
+
+}  // namespace
+}  // namespace bgps::corsaro

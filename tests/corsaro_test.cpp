@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "core/executor.hpp"
 #include "corsaro/corsaro.hpp"
 #include "corsaro/pfxmonitor.hpp"
 #include "corsaro/rt.hpp"
@@ -535,6 +536,53 @@ TEST(RtUnit, WithdrawnUnknownPrefixCountsForAbsentFromRib) {
   feed(rib, {});
   EXPECT_EQ(rt.state(vp), VpState::Down);
   EXPECT_EQ(rt.state(VpKey{"c", 65002}), VpState::Up);
+}
+
+// A long live run must not grow the attribute intern table without
+// bound: a (path, communities) set that no main cell, staged RIB entry
+// or pre-bin value references any more is reclaimed. 10,000 distinct
+// paths churn over one prefix; the table holds the live cell's set plus
+// at most the bin's pre-bin value.
+TEST(RtUnit, InternTableTracksLiveCellsUnderPathChurn) {
+  core::Executor executor({.threads = 2});
+  for (size_t shards : {size_t(1), size_t(3)}) {
+    RoutingTables::Options opt;
+    opt.shards = shards;
+    opt.executor = shards > 1 ? &executor : nullptr;
+    RoutingTables rt(opt);
+    auto live_sets = [&] {
+      size_t live = 0;
+      for (const auto& s : rt.shard_stats()) live += s.attr_sets;
+      return live;
+    };
+    core::Record upd;
+    upd.collector = "c";
+    upd.dump_type = core::DumpType::Updates;
+    core::Elem ann;
+    ann.type = core::ElemType::Announcement;
+    ann.peer_asn = 65001;
+    ann.prefix = P("10.0.0.0/8");
+    constexpr int kPaths = 10000;
+    for (int i = 0; i < kPaths; ++i) {
+      ann.time = 100 + i;
+      ann.as_path = bgp::AsPath::Sequence({65001, bgp::Asn(100000 + i)});
+      upd.timestamp = ann.time;
+      std::vector<core::Elem> elems{ann};
+      RecordContext ctx{upd, elems, {}};
+      rt.OnRecord(ctx);
+      if (i % 100 == 99)
+        rt.OnBinEnd(Timestamp(i) * 300, Timestamp(i + 1) * 300);
+      if (i % 1000 == 500) {
+        EXPECT_LE(live_sets(), 2u) << "shards=" << shards;
+      }
+    }
+    rt.OnBinEnd(Timestamp(kPaths) * 300, Timestamp(kPaths + 1) * 300);
+    EXPECT_EQ(live_sets(), 1u) << "shards=" << shards;
+    auto table = rt.table(VpKey{"c", 65001});
+    ASSERT_EQ(table.size(), 1u);
+    EXPECT_EQ(table.begin()->second.as_path.ToString(),
+              "65001 " + std::to_string(100000 + kPaths - 1));
+  }
 }
 
 TEST(RtUnit, StateMessagesDriveFsm) {
