@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <memory>
 
 #include "core/executor.hpp"
@@ -72,7 +73,12 @@ int main(int argc, char** argv) {
     } else if (arg == "-b") {
       const char* v = need_value();
       if (!v) return fail("-b needs seconds");
-      bin = std::strtoll(v, nullptr, 10);
+      Result<size_t> n = ParseCountFlag(arg, v);
+      if (!n.ok()) return fail(n.status().message());
+      if (*n == 0) return fail("-b must be >= 1");
+      if (*n > size_t(std::numeric_limits<Timestamp>::max()))
+        return fail("-b is out of range");
+      bin = Timestamp(*n);
     } else if (arg == "-c") {
       const char* v = need_value();
       if (!v) return fail("-c needs a collector");
@@ -92,13 +98,6 @@ int main(int argc, char** argv) {
   if (archive.empty() || end <= start)
     return fail("-d and a valid -w START,END are required");
   if (plugin_specs.empty()) plugin_specs.push_back("rt");
-
-  broker::Broker broker(archive);
-  if (!broker.scan_status().ok()) return fail(broker.scan_status().ToString());
-  core::BrokerDataInterface di(&broker);
-  stream.SetInterval(start, end);
-  stream.SetDataInterface(&di);
-  if (Status st = stream.Start(); !st.ok()) return fail(st.ToString());
 
   // Declared before the engine: the engine owns the plugins, so it (and
   // the sharded RT plugin's strands) must be destroyed before the pool.
@@ -142,10 +141,14 @@ int main(int argc, char** argv) {
       size_t pool_threads = 4;
       for (const auto& tok : SplitSkipEmpty(args, ',')) {
         if (tok.rfind("shards=", 0) == 0) {
-          rt_opt.shards = std::strtoull(tok.c_str() + 7, nullptr, 10);
+          Result<size_t> n = ParseCountFlag("rt shards", tok.substr(7));
+          if (!n.ok()) return fail(n.status().message());
+          rt_opt.shards = *n;
           if (rt_opt.shards == 0) return fail("rt shards must be >= 1");
         } else if (tok.rfind("threads=", 0) == 0) {
-          pool_threads = std::strtoull(tok.c_str() + 8, nullptr, 10);
+          Result<size_t> n = ParseCountFlag("rt threads", tok.substr(8));
+          if (!n.ok()) return fail(n.status().message());
+          pool_threads = *n;
           if (pool_threads == 0) return fail("rt threads must be >= 1");
         } else {
           return fail("unknown rt option: " + tok);
@@ -170,6 +173,14 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Every flag and plugin spec is checked before the archive is opened.
+  broker::Broker broker(archive);
+  if (!broker.scan_status().ok()) return fail(broker.scan_status().ToString());
+  core::BrokerDataInterface di(&broker);
+  stream.SetInterval(start, end);
+  stream.SetDataInterface(&di);
+  if (Status st = stream.Start(); !st.ok()) return fail(st.ToString());
+
   size_t records = engine.Run();
   std::fprintf(stderr, "bgpcorsaro: processed %zu records in %lld-second bins\n",
                records, (long long)bin);
@@ -181,9 +192,11 @@ int main(int argc, char** argv) {
     if (shard_stats.size() > 1) {
       for (size_t i = 0; i < shard_stats.size(); ++i) {
         std::fprintf(stderr,
-                     "bgpcorsaro: rt shard %zu: vps=%zu elems=%zu batches=%zu\n",
+                     "bgpcorsaro: rt shard %zu: vps=%zu elems=%zu batches=%zu "
+                     "apply_s=%.3f attr_sets=%zu\n",
                      i, shard_stats[i].vps, shard_stats[i].applied_elems,
-                     shard_stats[i].batches);
+                     shard_stats[i].batches, shard_stats[i].apply_s,
+                     shard_stats[i].attr_sets);
       }
     }
   }
