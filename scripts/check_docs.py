@@ -157,6 +157,8 @@ OPTION_TABLES = [
     ("StreamPool::Options", "src/pool/stream_pool.hpp",
      r"^`StreamPool::Options`:$"),
     ("TenantOptions", "src/pool/stream_pool.hpp", r"^`TenantOptions`:$"),
+    ("RoutingTablesOptions", "src/corsaro/rt.hpp",
+     r"^`RoutingTablesOptions`:$"),
 ]
 
 
