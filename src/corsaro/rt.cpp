@@ -42,8 +42,8 @@ uint32_t HashPrefix(const Prefix& p) {
   uint64_t hi, lo;
   std::memcpy(&hi, p.address().bytes().data(), 8);
   std::memcpy(&lo, p.address().bytes().data() + 8, 8);
-  return uint32_t(
-      Mix64(hi ^ Mix64(lo ^ (uint64_t(p.length()) << 1 | p.address().is_v6()))));
+  const uint64_t tail = uint64_t(p.length()) << 1 | p.address().is_v6();
+  return uint32_t(Mix64(hi ^ Mix64(lo ^ tail)));
 }
 
 // Prefix order (family, address bytes, length) without the out-of-line
@@ -153,7 +153,8 @@ class AttrTable {
     const uint32_t hash = uint32_t(Mix64(h));
     uint32_t id = index_.Find(hash, [&](uint32_t id) {
       const Entry& e = entries_[id - 1];
-      return e.words.size() == n && std::equal(e.words.begin(), e.words.end(), words);
+      return e.words.size() == n &&
+             std::equal(e.words.begin(), e.words.end(), words);
     });
     if (id != 0) return id;
     if (free_.empty()) {
@@ -256,6 +257,16 @@ struct RoutingTables::Shard {
     Cell before;  // its attrs hold a reference
   };
 
+  struct CollectorState {
+    // Per-collector VP index: RIB boundary events visit exactly the
+    // collector's own VPs instead of scanning the whole table.
+    std::vector<uint32_t> vps;
+    // Each shard tracks every collector's RIB progress independently
+    // (broadcast ops keep the copies in sync) so Vp() creation works
+    // without cross-shard reads.
+    bool rib_active = false;
+  };
+
   struct VpTable {
     uint32_t collector = 0;
     bgp::Asn peer = 0;
@@ -269,20 +280,16 @@ struct RoutingTables::Shard {
 
   static constexpr uint32_t kNone = UINT32_MAX;
 
-  explicit Shard(bool down_if_absent) : down_if_absent_from_rib(down_if_absent) {}
+  explicit Shard(bool down_if_absent)
+      : down_if_absent_from_rib(down_if_absent) {}
 
   static void Transition(VpTable& vp, VpInput input) {
     vp.state = VpNextState(vp.state, input);
   }
 
-  bool RibActive(uint32_t collector) const {
-    return collector < rib_active.size() && rib_active[collector];
-  }
-
-  // The collector's VPs in this shard (empty if none).
-  const std::vector<uint32_t>& VpsOf(uint32_t collector) {
-    if (collector >= collector_vps.size()) collector_vps.resize(collector + 1);
-    return collector_vps[collector];
+  CollectorState& Collector(uint32_t collector) {
+    if (collector >= collectors.size()) collectors.resize(collector + 1);
+    return collectors[collector];
   }
 
   const VpTable* FindVp(uint32_t collector, bgp::Asn peer) const {
@@ -310,10 +317,10 @@ struct RoutingTables::Shard {
     vp.collector = collector;
     vp.peer = peer;
     vp_index.Insert(VpHash(collector, peer), last_vp + 1);
-    VpsOf(collector);
-    collector_vps[collector].push_back(last_vp);
+    CollectorState& c = Collector(collector);
+    c.vps.push_back(last_vp);
     // A VP discovered mid-stream joins an in-progress RIB dump, if any.
-    if (RibActive(collector)) Transition(vp, VpInput::RibStart);
+    if (c.rib_active) Transition(vp, VpInput::RibStart);
     return last_vp;
   }
 
@@ -379,12 +386,24 @@ struct RoutingTables::Shard {
 
   void Apply(const Op& op, const uint32_t* words) {
     switch (op.kind) {
-      case Op::Kind::kUpdateElem: ApplyUpdateElem(op, words); break;
-      case Op::Kind::kRibElem: ApplyRibElem(op, words); break;
-      case Op::Kind::kBeginRib: BeginRib(op.collector); break;
-      case Op::Kind::kEndRib: EndRib(op.collector); break;
-      case Op::Kind::kAbortRib: AbortRib(op.collector); break;
-      case Op::Kind::kUpdateCorrupt: UpdateCorrupt(op.collector); break;
+      case Op::Kind::kUpdateElem:
+        ApplyUpdateElem(op, words);
+        break;
+      case Op::Kind::kRibElem:
+        ApplyRibElem(op, words);
+        break;
+      case Op::Kind::kBeginRib:
+        ResetRib(op.collector, VpInput::RibStart);
+        break;
+      case Op::Kind::kEndRib:
+        EndRib(op.collector);
+        break;
+      case Op::Kind::kAbortRib:
+        ResetRib(op.collector, VpInput::RibCorrupt);
+        break;
+      case Op::Kind::kUpdateCorrupt:
+        UpdateCorrupt(op.collector);
+        break;
     }
   }
 
@@ -425,29 +444,23 @@ struct RoutingTables::Shard {
     vp.rib.push_back(RibEntry{PrefixId(op.prefix), id, op.time});
   }
 
-  void BeginRib(uint32_t collector) {
-    if (collector >= rib_active.size()) rib_active.resize(collector + 1);
-    rib_active[collector] = 1;
-    for (uint32_t v : VpsOf(collector)) {
+  // A RIB dump begins (RibStart) or is abandoned (E1, RibCorrupt: at
+  // least one of its records was corrupted — ignore it all): the
+  // collector's VPs drop whatever they staged.
+  void ResetRib(uint32_t collector, VpInput input) {
+    CollectorState& c = Collector(collector);
+    c.rib_active = input == VpInput::RibStart;
+    for (uint32_t v : c.vps) {
       ++boundary_visits;
       DropStagedRib(vps[v]);
-      Transition(vps[v], VpInput::RibStart);
-    }
-  }
-
-  void AbortRib(uint32_t collector) {
-    // E1: at least one record of the dump was corrupted — ignore it all.
-    if (collector < rib_active.size()) rib_active[collector] = 0;
-    for (uint32_t v : VpsOf(collector)) {
-      ++boundary_visits;
-      DropStagedRib(vps[v]);
-      Transition(vps[v], VpInput::RibCorrupt);
+      Transition(vps[v], input);
     }
   }
 
   void EndRib(uint32_t collector) {
-    if (collector < rib_active.size()) rib_active[collector] = 0;
-    for (uint32_t v : VpsOf(collector)) {
+    CollectorState& c = Collector(collector);
+    c.rib_active = false;
+    for (uint32_t v : c.vps) {
       ++boundary_visits;
       VpTable& vp = vps[v];
       if (!vp.in_current_rib) {
@@ -514,7 +527,8 @@ struct RoutingTables::Shard {
         cell.flags &= ~kInRib;
         continue;
       }
-      if (!(cell.flags & kAnnounced) || cell.last_modified > dump_floor) continue;
+      if (!(cell.flags & kAnnounced) || cell.last_modified > dump_floor)
+        continue;
       Touch(v, vp, p);
       cell.flags &= ~kAnnounced;
     }
@@ -523,7 +537,7 @@ struct RoutingTables::Shard {
   }
 
   void UpdateCorrupt(uint32_t collector) {
-    for (uint32_t v : VpsOf(collector)) {
+    for (uint32_t v : Collector(collector).vps) {
       ++boundary_visits;
       Transition(vps[v], VpInput::UpdateCorrupt);
     }
@@ -566,7 +580,8 @@ struct RoutingTables::Shard {
       for (const DirtyEntry& d : vp.dirty) {
         Cell& cell = vp.main[d.prefix];
         cell.flags &= ~kDirty;
-        if (!SameContent(d.before, cell)) vp.dirty[changed++] = d;  // else reverted in-bin
+        // A cell whose content reverted in-bin publishes nothing.
+        if (!SameContent(d.before, cell)) vp.dirty[changed++] = d;
         attrs.Unref(d.before.attrs);
       }
       vp.dirty.resize(changed);
@@ -603,13 +618,7 @@ struct RoutingTables::Shard {
   IdIndex prefix_index;  // prefix -> id + 1
   uint32_t last_prefix = kNone;
   AttrTable attrs;
-  // Per-collector VP index: RIB boundary events visit exactly the
-  // collector's own VPs instead of scanning the whole table.
-  std::vector<std::vector<uint32_t>> collector_vps;
-  // Each shard tracks every collector's RIB progress independently
-  // (broadcast ops keep the copies in sync) so Vp() creation works
-  // without cross-shard reads.
-  std::vector<uint8_t> rib_active;
+  std::vector<CollectorState> collectors;  // by collector id
   // VPs touched this bin — bin-end diff collection visits only these.
   std::vector<uint32_t> dirty_vps;
   size_t rib_compared = 0;
@@ -632,7 +641,8 @@ RoutingTables::RoutingTables(Options options)
     : options_(options), shard_count_(options.shards == 0 ? 1 : options.shards) {
   shards_.reserve(shard_count_);
   for (size_t i = 0; i < shard_count_; ++i)
-    shards_.push_back(std::make_unique<Shard>(options_.down_if_absent_from_rib));
+    shards_.push_back(
+        std::make_unique<Shard>(options_.down_if_absent_from_rib));
   pending_.resize(shard_count_);
   if (options_.executor != nullptr && options_.executor->threads() > 0) {
     tenants_.reserve(shard_count_);

@@ -447,7 +447,8 @@ uint64_t DigestOf(const Fingerprint& fp) {
   for (const auto& [bin_start, vp, table] : fp.snapshots) {
     d.Mix(uint64_t(bin_start));
     d.Mix(table.size());
-    for (const auto& [prefix, cell] : table) d.MixCell(DiffCell{vp, prefix, cell});
+    for (const auto& [prefix, cell] : table)
+      d.MixCell(DiffCell{vp, prefix, cell});
   }
   d.Mix(fp.bins.size());
   for (const auto& bin : fp.bins) {
@@ -464,7 +465,8 @@ uint64_t DigestOf(const Fingerprint& fp) {
     d.Mix(uint64_t(fp.states.at(vp)));
     const auto& table = fp.tables.at(vp);
     d.Mix(table.size());
-    for (const auto& [prefix, cell] : table) d.MixCell(DiffCell{vp, prefix, cell});
+    for (const auto& [prefix, cell] : table)
+      d.MixCell(DiffCell{vp, prefix, cell});
   }
   return d.hash;
 }
