@@ -299,6 +299,14 @@ struct RoutingTables::Shard {
     return id == 0 ? nullptr : &vps[id - 1];
   }
 
+  // VpKey order, with collector ids resolved through `names`.
+  static bool VpLess(const std::vector<std::string>& names, const VpTable& a,
+                     const VpTable& b) {
+    if (a.collector != b.collector)
+      return names[a.collector] < names[b.collector];
+    return a.peer < b.peer;
+  }
+
   static uint32_t VpHash(uint32_t collector, bgp::Asn peer) {
     return uint32_t(Mix64(uint64_t(collector) << 32 | peer));
   }
@@ -563,11 +571,7 @@ struct RoutingTables::Shard {
   // whose content changed. `runs` lists (VP, changed cells) in order.
   void SettleDirty(const std::vector<std::string>& names) {
     std::sort(dirty_vps.begin(), dirty_vps.end(), [&](uint32_t a, uint32_t b) {
-      const VpTable& x = vps[a];
-      const VpTable& y = vps[b];
-      if (x.collector != y.collector)
-        return names[x.collector] < names[y.collector];
-      return x.peer < y.peer;
+      return VpLess(names, vps[a], vps[b]);
     });
     runs.clear();
     for (uint32_t v : dirty_vps) {
@@ -806,31 +810,20 @@ std::vector<DiffCell> RoutingTables::CollectDiffs() {
   OnEachShard([this](Shard& shard) { shard.SettleDirty(collector_names_); });
 
   // Lay the runs of all shards out in global VpKey order. Shards
-  // partition the VP space, so keys never tie across shards, and each
-  // run is already in prefix order.
-  auto key_less = [this](const Shard& a, const Shard::Run& ra,
-                         const Shard& b, const Shard::Run& rb) {
-    const Shard::VpTable& x = a.vps[ra.vp];
-    const Shard::VpTable& y = b.vps[rb.vp];
-    if (x.collector != y.collector)
-      return collector_names_[x.collector] < collector_names_[y.collector];
-    return x.peer < y.peer;
-  };
+  // partition the VP space, so keys never tie, and each run is already
+  // in prefix order.
+  std::vector<std::pair<const Shard*, Shard::Run*>> runs;
+  for (auto& shard : shards_) {
+    for (Shard::Run& run : shard->runs) runs.emplace_back(shard.get(), &run);
+  }
+  std::sort(runs.begin(), runs.end(), [this](const auto& a, const auto& b) {
+    return Shard::VpLess(collector_names_, a.first->vps[a.second->vp],
+                         b.first->vps[b.second->vp]);
+  });
   size_t total = 0;
-  std::vector<size_t> idx(shard_count_, 0);
-  while (true) {
-    size_t best = shard_count_;
-    for (size_t s = 0; s < shard_count_; ++s) {
-      if (idx[s] >= shards_[s]->runs.size()) continue;
-      if (best == shard_count_ ||
-          key_less(*shards_[s], shards_[s]->runs[idx[s]], *shards_[best],
-                   shards_[best]->runs[idx[best]]))
-        best = s;
-    }
-    if (best == shard_count_) break;
-    Shard::Run& run = shards_[best]->runs[idx[best]++];
-    run.offset = total;
-    total += run.cells;
+  for (auto& [shard, run] : runs) {
+    run->offset = total;
+    total += run->cells;
   }
 
   std::vector<DiffCell> out(total);
