@@ -39,7 +39,7 @@ uint64_t Mix64(uint64_t x) {
 }
 
 uint32_t HashPrefix(const Prefix& p) {
-  uint64_t hi, lo;
+  uint64_t hi = 0, lo = 0;
   std::memcpy(&hi, p.address().bytes().data(), 8);
   std::memcpy(&lo, p.address().bytes().data() + 8, 8);
   const uint64_t tail = uint64_t(p.length()) << 1 | p.address().is_v6();

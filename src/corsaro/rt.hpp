@@ -21,9 +21,9 @@
 // of a shard in flight at a time, in stream order). RIB begin/end/abort
 // and corrupt events are broadcast to every shard in stream position, so
 // each shard sees exactly the global op sequence filtered to its own
-// VPs. OnBinEnd is a barrier: it drains all shards, collects each
-// shard's diffs (its dirty VPs in VpKey order), and k-way-merges them
-// back into global (VpKey, Prefix) order — the emitted diff stream,
+// VPs. OnBinEnd is a barrier: it drains all shards, lays every shard's
+// changed VPs out in global (VpKey, Prefix) order, and has each shard
+// write its diff cells into place — the emitted diff stream,
 // bin stats, accuracy counters and per-VP tables are byte-identical to
 // the sequential path at any shard count. With shards == 1 or no
 // executor, each batch applies inline on the caller's thread.
@@ -195,6 +195,7 @@ class RoutingTables : public Plugin {
   void RouteElem(Op::Kind kind, uint32_t collector, const core::Elem& elem);
   // Queues a collector-scoped event on every shard, in stream position.
   void Broadcast(Op::Kind kind, uint32_t collector);
+  // Appends `op` to the shard's batch and flushes a full batch.
   void Push(size_t shard, const Op& op);
   // Applies a shard's pending batch: inline, or posted to its strand.
   void FlushShard(size_t shard);
