@@ -4,7 +4,8 @@
 // tests pin that equivalence over the simulated archive, a generated
 // mixed-scenario corpus, and hand-built corrupt-record sequences, plus
 // the per-collector VP index regression (RIB boundary events must visit
-// only their own collector's VPs).
+// only their own collector's VPs). The RtGolden tests pin the output
+// itself to recorded digests.
 #include <gtest/gtest.h>
 
 #include <filesystem>
