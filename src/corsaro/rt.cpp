@@ -794,7 +794,7 @@ template <typename Fn>
 void RoutingTables::OnEachShard(Fn fn) {
   if (threaded() && shard_count_ > 1) {
     // On the shards' own strands (the barrier's parallel reduce step);
-    // the driver thread waits, so collector_names_ holds still.
+    // the calling thread waits, so collector_names_ holds still.
     for (size_t s = 0; s < shard_count_; ++s) {
       Shard* shard = shards_[s].get();
       strands_[s]->Post([&fn, shard] { fn(*shard); });

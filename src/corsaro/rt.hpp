@@ -213,10 +213,10 @@ class RoutingTables : public Plugin {
   Options options_;
   size_t shard_count_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  // Driver-thread batch buffers, one per shard.
+  // Batch buffers filled by OnRecord, one per shard.
   std::vector<Batch> pending_;
-  // Collector names by id. Only the driver thread appends; shards read
-  // them while it waits (bin-end collection).
+  // Collector names by id. Only OnRecord appends; shards read them at
+  // bin end, while OnBinEnd waits for them.
   std::map<std::string, uint32_t, std::less<>> collector_ids_;
   std::vector<std::string> collector_names_;
   // FNV-1a state after each name's bytes: ShardOf mixes in the peer.
