@@ -33,11 +33,18 @@ struct DumpFileMeta {
   Timestamp duration = 0;   // nominal interval length (seconds)
   Timestamp publish_time = 0;  // when the file becomes visible
   std::string path;         // absolute path to the MRT file
+  // The dump is the `length` bytes of `path` from `offset`; length 0
+  // reads to the end of the file (archive dumps are whole files). A
+  // live source's micro-dumps are consecutive ranges of one segment.
+  uint64_t offset = 0;
+  uint64_t length = 0;
 
   Timestamp end() const { return start + duration; }
 
   // Stable ordering: by time, then provenance (deterministic streams).
-  auto key() const { return std::tie(start, project, collector, type, path); }
+  auto key() const {
+    return std::tie(start, project, collector, type, path, offset);
+  }
   bool operator<(const DumpFileMeta& o) const { return key() < o.key(); }
   bool operator==(const DumpFileMeta& o) const { return key() == o.key(); }
 };

@@ -125,12 +125,16 @@ DataBatch CsvFileInterface::NextBatch(const FilterSet& filters) {
   return batch;
 }
 
+LiveFeedInterface::LiveFeedInterface(std::function<void()> on_wait)
+    : on_wait_(std::move(on_wait)) {}
+
 void LiveFeedInterface::Push(broker::DumpFileMeta meta) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return;
     queue_.push_back(std::move(meta));
     ++published_;
+    waiting_.store(false);
   }
   changed_.notify_one();
 }
@@ -156,8 +160,17 @@ size_t LiveFeedInterface::published() const {
 DataBatch LiveFeedInterface::NextBatch(const FilterSet&) {
   DataBatch batch;
   std::unique_lock<std::mutex> lock(mu_);
-  changed_.wait_for(lock, kLongPoll,
-                    [this] { return !queue_.empty() || closed_; });
+  if (queue_.empty() && !closed_) {
+    waiting_.store(true);
+    if (on_wait_) {
+      lock.unlock();
+      on_wait_();
+      lock.lock();
+    }
+    changed_.wait_for(lock, kLongPoll,
+                      [this] { return !queue_.empty() || closed_; });
+    waiting_.store(false);
+  }
   if (!queue_.empty()) {
     batch.files.push_back(std::move(queue_.front()));
     queue_.pop_front();

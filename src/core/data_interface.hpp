@@ -4,9 +4,11 @@
 // the same "local index" use case here — see DESIGN.md.)
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <unordered_set>
 
@@ -86,19 +88,31 @@ class CsvFileInterface : public DataInterface {
 // publications strictly in publication order — the emitted record
 // sequence is the ingestion sequence, deterministically, with no
 // cross-file timestamp reordering between micro-dumps. NextBatch is a
-// long-poll: on an open, drained feed it blocks until the next Push()
+// long-poll: on an open, drained feed it first lets the publisher
+// publish what it holds (`on_wait`), then blocks until the next Push()
 // (returning that file at once) or Close() (end_of_stream at once), and
 // answers retry_later only after kLongPoll without a publication, so the
 // stream's poll_wait/Refresh/max_consecutive_polls loop runs only on an
-// idle feed. The consumer still calls only when it is ready for data
-// (§3.3.2 client-pull). Meta filters are the publisher's concern (a live
-// session is already one project/collector); record-level filters still
-// apply downstream.
+// idle feed. While it blocks, consumer_waiting() tells the publisher to
+// publish each record as it comes instead of batching. The consumer
+// still calls only when it is ready for data (§3.3.2 client-pull). Meta
+// filters are the publisher's concern (a live session is already one
+// project/collector); record-level filters still apply downstream.
 class LiveFeedInterface : public DataInterface {
  public:
+  // `on_wait` runs on the consumer thread, without the feed's lock,
+  // each time NextBatch is about to wait on an open, empty feed; the
+  // publisher pushes its pending data there. Lock order: a publisher
+  // lock held around Push() is taken before the feed's.
+  explicit LiveFeedInterface(std::function<void()> on_wait = {});
+
   // Publishes one dump file to the consumer. Push after Close is a
   // programming error and is dropped (the stream may already have ended).
   void Push(broker::DumpFileMeta meta);
+
+  // True while the consumer is blocked in NextBatch with nothing queued
+  // for it: data published now reaches it at once.
+  bool consumer_waiting() const { return waiting_.load(); }
 
   // No further Push() will come; the stream ends once the queue drains.
   // Idempotent.
@@ -115,11 +129,16 @@ class LiveFeedInterface : public DataInterface {
   // second.
   static constexpr std::chrono::seconds kLongPoll{1};
 
+  const std::function<void()> on_wait_;
   mutable std::mutex mu_;
   std::condition_variable changed_;  // a Push() or Close() happened
   std::deque<broker::DumpFileMeta> queue_;
   bool closed_ = false;
   size_t published_ = 0;
+  // Set by NextBatch before on_wait_ runs, so a publisher that checks
+  // it after on_wait_ has looked at its pending data sees it; cleared
+  // once something is queued or the wait ends.
+  std::atomic<bool> waiting_{false};
 };
 
 }  // namespace bgps::core

@@ -7,7 +7,7 @@ DumpReader::DumpReader(broker::DumpFileMeta meta) : meta_(std::move(meta)) {
   // pointer copy instead of a per-record string copy.
   project_ = meta_.project;
   collector_ = meta_.collector;
-  Status st = reader_.Open(meta_.path);
+  Status st = reader_.Open(meta_.path, meta_.offset, meta_.length);
   if (!st.ok()) open_failed_ = true;
 }
 

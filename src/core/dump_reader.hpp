@@ -26,9 +26,9 @@ using FileOpenHook = std::function<void(const broker::DumpFileMeta&)>;
 
 class DumpReader {
  public:
-  // `meta` identifies the dump; opening failures yield a single
-  // CorruptedDump record (the paper marks a record not-valid "when the BGP
-  // dump file cannot be opened").
+  // `meta` identifies the dump (its file, or a byte range of it);
+  // opening failures yield a single CorruptedDump record (the paper
+  // marks a record not-valid "when the BGP dump file cannot be opened").
   explicit DumpReader(broker::DumpFileMeta meta);
 
   const broker::DumpFileMeta& meta() const { return meta_; }

@@ -1,19 +1,36 @@
 #include "mrt/file.hpp"
 
+#include <algorithm>
+#include <string>
+
 namespace bgps::mrt {
 
-Status MrtFileReader::Open(const std::string& path) {
+Status MrtFileReader::Open(const std::string& path, uint64_t offset,
+                           uint64_t length) {
   path_ = path;
   corrupt_ = false;
-  offset_ = 0;
+  offset_ = offset;
+  end_ = length == 0 ? std::numeric_limits<uint64_t>::max() : offset + length;
   file_.open(path, std::ios::binary);
   if (!file_.is_open()) return IoError("cannot open " + path);
+  if (offset != 0 && !file_.seekg(std::streamoff(offset)))
+    return IoError("cannot seek to byte " + std::to_string(offset) + " of " +
+                   path);
   return OkStatus();
 }
 
 Result<RawRecord> MrtFileReader::Next() {
   if (corrupt_) return EndOfStream();
   if (!file_.is_open()) return IoError("reader not open");
+
+  // Bytes left in the range. A whole-file read starts with end_ at the
+  // maximum, so for it this is never below a header.
+  const uint64_t room = end_ - offset_;
+  if (room < kMrtHeaderSize) [[unlikely]] {
+    if (room == 0) return EndOfStream();
+    corrupt_ = true;
+    return CorruptError("truncated MRT header in " + path_);
+  }
 
   uint8_t header[kMrtHeaderSize];
   file_.read(reinterpret_cast<char*>(header), kMrtHeaderSize);
@@ -32,10 +49,14 @@ Result<RawRecord> MrtFileReader::Next() {
   uint32_t len = hr.u32().value();
 
   // Framing sanity: a record body larger than 64 MiB means the length
-  // field is garbage (real RIB records are < 1 MiB).
-  if (len > (64u << 20)) {
+  // field is garbage (real RIB records are < 1 MiB). One compare covers
+  // that and a body that would run past the end of the range.
+  constexpr uint64_t kMaxBody = 64u << 20;
+  if (len > std::min(kMaxBody, room - kMrtHeaderSize)) {
     corrupt_ = true;
-    return CorruptError("implausible MRT record length in " + path_);
+    return CorruptError((len > kMaxBody ? "implausible MRT record length in "
+                                        : "truncated MRT body in ") +
+                        path_);
   }
 
   // Read into the reusable buffer and hand out a view: no per-record
@@ -63,6 +84,7 @@ Result<RawRecord> MrtFileReader::Next() {
 }
 
 Status MrtFileWriter::Open(const std::string& path) {
+  path_ = path;
   file_.open(path, std::ios::binary | std::ios::trunc);
   if (!file_.is_open()) return IoError("cannot open " + path + " for write");
   return OkStatus();
@@ -80,8 +102,16 @@ Status MrtFileWriter::WriteRaw(const Bytes& bytes) {
   return OkStatus();
 }
 
+Status MrtFileWriter::Flush() {
+  if (!file_.is_open()) return IoError("writer not open");
+  if (!file_.flush()) return IoError("cannot flush " + path_);
+  return OkStatus();
+}
+
 Status MrtFileWriter::Close() {
-  if (file_.is_open()) file_.close();
+  if (!file_.is_open()) return OkStatus();
+  file_.close();  // sets failbit when the final flush or close fails
+  if (file_.fail()) return IoError("cannot close " + path_);
   return OkStatus();
 }
 

@@ -10,7 +10,9 @@
 // marker in MRT), so the reader reports Corrupt once and then EndOfStream.
 #pragma once
 
+#include <cstdint>
 #include <fstream>
+#include <limits>
 
 #include "mrt/mrt.hpp"
 
@@ -20,7 +22,11 @@ class MrtFileReader {
  public:
   MrtFileReader() = default;
 
-  Status Open(const std::string& path);
+  // Reads the `length` bytes of `path` from `offset`; length 0 reads to
+  // the end of the file. A range that ends inside a record reads like
+  // a truncated file: Corrupt once, then EndOfStream.
+  Status Open(const std::string& path, uint64_t offset = 0,
+              uint64_t length = 0);
   bool is_open() const { return file_.is_open(); }
   const std::string& path() const { return path_; }
 
@@ -45,6 +51,8 @@ class MrtFileReader {
   Bytes buf_;
   bool corrupt_ = false;
   uint64_t offset_ = 0;
+  // End of the range; a whole-file read never reaches it.
+  uint64_t end_ = std::numeric_limits<uint64_t>::max();
 };
 
 class MrtFileWriter {
@@ -53,15 +61,22 @@ class MrtFileWriter {
 
   Status Open(const std::string& path);
   bool is_open() const { return file_.is_open(); }
+  const std::string& path() const { return path_; }
 
   // Appends an already-encoded record (output of the mrt::Encode* family).
   Status Write(const Bytes& encoded_record);
   // Appends raw garbage — used by the simulator's corruption injection.
   Status WriteRaw(const Bytes& bytes);
 
+  // Hands everything written so far to the operating system, so a
+  // reader that opens the file next sees it; IoError if it cannot.
+  Status Flush();
+
+  // Flushes and closes; IoError if the data did not reach the file.
   Status Close();
 
  private:
+  std::string path_;
   std::ofstream file_;
 };
 

@@ -5,7 +5,6 @@
 #include "bmp/bmp.hpp"
 #include "exabgp/exabgp.hpp"
 #include "mrt/encode.hpp"
-#include "mrt/file.hpp"
 
 namespace bgps::pool {
 
@@ -31,20 +30,24 @@ Result<std::unique_ptr<LiveSource>> LiveSource::Create(Options options) {
 }
 
 Status LiveSource::FlushLocked() {
-  if (pending_.empty()) return OkStatus();
+  if (pending_.empty() || !spool_status_.ok()) return spool_status_;
 
-  std::string path = options_.spool_dir + "/live-" +
-                     std::to_string(dump_seq_++) + ".mrt";
-  mrt::MrtFileWriter writer;
-  BGPS_RETURN_IF_ERROR(writer.Open(path));
+  if (!segment_.is_open())
+    spool_status_ = segment_.Open(options_.spool_dir + "/live.mrt");
   Timestamp first = pending_.front().first;
   Timestamp last = first;
+  uint64_t length = 0;
   for (const auto& [ts, encoded] : pending_) {
+    if (!spool_status_.ok()) break;
     if (ts < first) first = ts;
     if (ts > last) last = ts;
-    BGPS_RETURN_IF_ERROR(writer.Write(encoded));
+    spool_status_ = segment_.Write(encoded);
+    length += encoded.size();
   }
-  BGPS_RETURN_IF_ERROR(writer.Close());
+  // The consumer opens the segment to read this range as soon as it is
+  // pushed, so the bytes must have left the stream's buffer first.
+  if (spool_status_.ok()) spool_status_ = segment_.Flush();
+  BGPS_RETURN_IF_ERROR(spool_status_);
 
   broker::DumpFileMeta meta;
   meta.project = options_.project;
@@ -53,7 +56,10 @@ Status LiveSource::FlushLocked() {
   meta.start = first;
   meta.duration = last - first;
   meta.publish_time = last;
-  meta.path = std::move(path);
+  meta.path = segment_.path();
+  meta.offset = segment_bytes_;
+  meta.length = length;
+  segment_bytes_ += length;
   feed_.Push(std::move(meta));
 
   records_spooled_.fetch_add(pending_.size(), std::memory_order_relaxed);
@@ -87,7 +93,8 @@ Status LiveSource::SpoolRecord(Timestamp ts, Bytes encoded) {
   std::lock_guard<std::mutex> lock(mu_);
   if (options_.governor) ++leases_;
   pending_.emplace_back(ts, std::move(encoded));
-  if (pending_.size() >= options_.flush_records) return FlushLocked();
+  if (pending_.size() >= options_.flush_records || feed_.consumer_waiting())
+    return FlushLocked();
   return OkStatus();
 }
 
@@ -242,6 +249,7 @@ Status LiveSource::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) return OkStatus();
   Status flushed = FlushLocked();
+  if (flushed.ok() && segment_.is_open()) flushed = segment_.Close();
   closed_ = true;
   feed_.Close();
   return flushed;

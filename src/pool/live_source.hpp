@@ -9,10 +9,18 @@
 //   json lines ──IngestExaBgpLine──▶ decode ─────────────────────┘
 //                     │ 1 governor slot per pending record
 //                     ▼
-//            micro-dump spool (real MRT files, flush_records each)
-//                     │ Push(DumpFileMeta)
+//            pending records ──flush──▶ appended to <spool_dir>/live.mrt
+//                     │ Push(DumpFileMeta: the segment + the byte range)
 //                     ▼
 //            core::LiveFeedInterface ──▶ live-mode BgpStream tenant
+//
+// A flush happens when flush_records records are pending, or at once
+// while the consumer is blocked waiting for data (the feed also calls
+// Flush() before it waits). A micro-dump is therefore whatever arrived
+// while the consumer was busy: one record on an idle tenant, up to
+// flush_records under load, with no timer. Every micro-dump is a byte
+// range of one append-only segment file, so a flush costs an append,
+// not a file creation.
 //
 // The consuming stream is an ordinary StreamPool tenant, so
 // filters, fan-out and analytics consume live data unchanged, and the
@@ -41,10 +49,12 @@
 //     state survives, and the record sequence matches an uninterrupted
 //     session.
 //
-// Threading: the Ingest*/NoteDisconnect/Flush/Close calls must come
-// from ONE session-reader thread (a TCP session delivers bytes in
-// order; two writers would interleave frames). stats() and the
-// consuming stream may run on any other threads.
+// Threading: the Ingest*/NoteDisconnect/Close calls must come from ONE
+// session-reader thread (a TCP session delivers bytes in order; two
+// writers would interleave frames). Flush() may run on that thread or
+// on the consuming stream's thread, where the feed calls it before it
+// waits for data. stats() and the consuming stream may run on any
+// other threads. Lock order: mu_, then the feed's mutex.
 #pragma once
 
 #include <atomic>
@@ -57,6 +67,7 @@
 #include "core/data_interface.hpp"
 #include "core/executor.hpp"
 #include "core/governor.hpp"
+#include "mrt/file.hpp"
 
 namespace bgps::bmp {
 struct BmpMessage;
@@ -67,13 +78,14 @@ namespace bgps::pool {
 class LiveSource {
  public:
   struct Options {
-    // Directory receiving the micro-dump MRT files (created if absent).
+    // Directory receiving the spool segment `live.mrt`, which every
+    // micro-dump is appended to (created if absent).
     std::string spool_dir;
     // Provenance stamped on every published dump file.
     std::string project = "live";
     std::string collector = "live";
-    // Records per micro-dump: the flush threshold. Smaller = lower
-    // publication latency, more files; larger = fewer, bigger files.
+    // Most records per micro-dump: the flush threshold while the
+    // consumer is busy. A waiting consumer gets pending records at once.
     size_t flush_records = 64;
     // Shared record-budget ledger (null = unbounded pending buffer; a
     // production live tenant always passes the pool's governor).
@@ -95,13 +107,14 @@ class LiveSource {
   };
 
   // Validates options (spool_dir required, flush_records >= 1) and
-  // creates the spool directory.
+  // creates the spool directory. The segment is opened at the first
+  // flush.
   static Result<std::unique_ptr<LiveSource>> Create(Options options);
 
   LiveSource(const LiveSource&) = delete;
   LiveSource& operator=(const LiveSource&) = delete;
-  // Releases any still-pending governor leases (micro-dump files on
-  // disk are the caller's to clean up, like any archive).
+  // Releases any still-pending governor leases (the segment on disk is
+  // the caller's to clean up, like any archive).
   ~LiveSource();
 
   // The data interface to hand to the live tenant's BgpStream
@@ -126,10 +139,12 @@ class LiveSource {
   void NoteDisconnect();
 
   // Publishes pending records as a micro-dump now (no-op when none).
+  // A failed append fails this flush and every later one, so no
+  // micro-dump is ever published over a gap in the segment.
   Status Flush();
 
-  // Flush + close the feed: the consuming stream ends once it drains.
-  // Idempotent; ingestion after Close is rejected.
+  // Flush + close the segment and the feed: the consuming stream ends
+  // once it drains. Idempotent; ingestion after Close is rejected.
   Status Close();
 
   Stats stats() const;
@@ -141,11 +156,13 @@ class LiveSource {
   // Called on the ingest thread with mu_ NOT held.
   Status SpoolRecord(Timestamp ts, Bytes encoded);
   Status HandleBmp(const bmp::BmpMessage& msg);
-  // Writes pending_ to a micro-dump and publishes it; mu_ held.
+  // Appends pending_ to the segment and publishes the range; mu_ held.
   Status FlushLocked();
 
   Options options_;
-  core::LiveFeedInterface feed_;
+  // Flushes this source before its consumer waits. A failed flush is
+  // latched in spool_status_ and reaches the session reader's next call.
+  core::LiveFeedInterface feed_{[this] { (void)Flush(); }};
 
   mutable std::mutex mu_;
   Bytes buf_;            // undecoded partial-frame bytes (BMP mode)
@@ -155,7 +172,9 @@ class LiveSource {
   // ingestion order. Each entry holds one governor lease.
   std::vector<std::pair<Timestamp, Bytes>> pending_;
   size_t leases_ = 0;    // governor slots held for pending_
-  size_t dump_seq_ = 0;  // micro-dump filename counter
+  mrt::MrtFileWriter segment_;  // <spool_dir>/live.mrt once opened
+  uint64_t segment_bytes_ = 0;  // bytes appended and flushed so far
+  Status spool_status_;         // the first failed open or append
   // local ASN learned from each peer's Peer Up OPEN, keyed by
   // (address, asn) — applied as the local_asn hint of subsequent
   // Route Monitoring / Peer Down records from that peer.

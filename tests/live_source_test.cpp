@@ -188,6 +188,111 @@ TEST_F(LiveSourceTest, ActiveFeedDrainsWithoutPollWait) {
   EXPECT_EQ(live.elems, DrainBaseline(meta).elems);
 }
 
+// A quiet session never strands records: with a 64-record flush and a
+// consumer blocked waiting for data, each record is published as it
+// arrives instead of waiting for 63 more or for Close().
+TEST_F(LiveSourceTest, QuietSessionReachesAWaitingConsumer) {
+  auto frames = livetest::ScriptedBmpSession();
+  pool::LiveSource::Options opt;
+  opt.spool_dir = Path("spool");
+  opt.flush_records = 64;
+  auto source = pool::LiveSource::Create(std::move(opt));
+  ASSERT_TRUE(source.ok());
+
+  core::BgpStream stream(livetest::LiveStreamOptions());
+  stream.SetLive(0);
+  stream.SetDataInterface((*source)->feed());
+  ASSERT_TRUE(stream.Start().ok());
+  std::atomic<size_t> held{0};
+  std::vector<Timestamp> times;  // written by the consumer until joined
+  std::thread consumer([&] {
+    while (auto rec = stream.NextRecord()) {
+      times.push_back(rec->timestamp);
+      held.fetch_add(1);
+    }
+  });
+
+  // After each frame that yields a record, the consumer must hold it
+  // within 1 s. On the first miss, stop waiting: Close() below still
+  // ends the stream, so the test fails instead of hanging.
+  size_t missed_at = 0;  // 1-based frame index of the first miss
+  for (size_t i = 0; i < frames.size() && missed_at == 0; ++i) {
+    Status ingested = (*source)->IngestBmp(bmp::Encode(frames[i]));
+    if (!ingested.ok()) {
+      ADD_FAILURE() << ingested.ToString();
+      break;
+    }
+    const size_t sent = livetest::DirectMrtRecords(
+        {frames.begin(), frames.begin() + i + 1}).size();
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (held.load() < sent && std::chrono::steady_clock::now() < until)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    if (held.load() < sent) missed_at = i + 1;
+  }
+  EXPECT_TRUE((*source)->Close().ok());
+  consumer.join();
+  EXPECT_EQ(missed_at, 0u) << "frame " << missed_at
+                           << "'s record did not reach the waiting consumer";
+  EXPECT_TRUE(stream.status().ok()) << stream.status().ToString();
+
+  std::vector<Timestamp> want;
+  for (const auto& [ts, encoded] : livetest::DirectMrtRecords(frames))
+    want.push_back(ts);
+  EXPECT_EQ(times, want);
+}
+
+// Micro-dumps are consecutive byte ranges of one spool segment, opened
+// at the first flush: 7 records in flushes of 2 make 4 ranges that
+// tile the file, each reading back exactly its records.
+TEST_F(LiveSourceTest, MicroDumpsAppendToOneSegment) {
+  auto frames = livetest::ScriptedBmpSession();
+  pool::LiveSource::Options opt;
+  opt.spool_dir = Path("spool");
+  opt.flush_records = 2;
+  auto source = pool::LiveSource::Create(std::move(opt));
+  ASSERT_TRUE(source.ok());
+  EXPECT_TRUE(fs::is_empty(Path("spool")));
+  ASSERT_TRUE((*source)->IngestBmp(livetest::EncodeSession(frames)).ok());
+  ASSERT_TRUE((*source)->Close().ok());
+
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(Path("spool"))) {
+    EXPECT_TRUE(entry.is_regular_file()) << entry.path();
+    files.push_back(entry.path());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  const std::string segment = Path("spool") + "/live.mrt";
+  EXPECT_EQ(files[0].string(), segment);
+
+  uint64_t covered = 0;
+  std::vector<size_t> records_per_dump;
+  while (true) {
+    auto batch = (*source)->feed()->NextBatch(core::FilterSet{});
+    if (batch.end_of_stream) break;
+    ASSERT_EQ(batch.files.size(), 1u);
+    const broker::DumpFileMeta& meta = batch.files[0];
+    EXPECT_EQ(meta.path, segment);
+    EXPECT_EQ(meta.offset, covered);
+    EXPECT_GT(meta.length, 0u);
+    covered += meta.length;
+    mrt::MrtFileReader reader;
+    ASSERT_TRUE(reader.Open(meta.path, meta.offset, meta.length).ok());
+    size_t n = 0;
+    while (true) {
+      auto rec = reader.Next();
+      if (!rec.ok()) {
+        EXPECT_EQ(rec.status().code(), StatusCode::EndOfStream);
+        break;
+      }
+      ++n;
+    }
+    records_per_dump.push_back(n);
+  }
+  EXPECT_EQ(records_per_dump, (std::vector<size_t>{2, 2, 2, 1}));
+  EXPECT_EQ(covered, fs::file_size(segment));
+}
+
 TEST_F(LiveSourceTest, BmpSessionByteIdenticalToDirectDecode) {
   auto frames = livetest::ScriptedBmpSession();
 
@@ -385,7 +490,7 @@ TEST_F(LiveSourceTest, PeerLocalAsnLearnedFromPeerUp) {
   ASSERT_TRUE((*source)->IngestBmp(livetest::EncodeSession(frames)).ok());
   ASSERT_TRUE((*source)->Close().ok());
 
-  auto scan = mrt::ScanFile(Path("spool") + "/live-0.mrt");
+  auto scan = mrt::ScanFile(Path("spool") + "/live.mrt");
   ASSERT_TRUE(scan.ok());
   ASSERT_EQ(scan->messages.size(), 7u);
   // Peer 1's update carries the local ASN learned from its Peer Up;

@@ -249,6 +249,93 @@ TEST_F(MrtFileTest, MissingFileIsIoError) {
   EXPECT_EQ(r.Open("/nonexistent/dir/file.mrt").code(), StatusCode::IoError);
 }
 
+// Three updates at t = 100, 101, 102 in one file; returns each
+// record's size in bytes.
+std::vector<uint64_t> WriteThreeUpdates(const std::string& path) {
+  MrtFileWriter w;
+  EXPECT_TRUE(w.Open(path).ok());
+  std::vector<uint64_t> sizes;
+  for (Timestamp t = 100; t < 103; ++t) {
+    Bytes rec = EncodeBgp4mpUpdate(t, MakeUpdateMsg());
+    sizes.push_back(rec.size());
+    EXPECT_TRUE(w.Write(rec).ok());
+  }
+  EXPECT_TRUE(w.Close().ok());
+  return sizes;
+}
+
+// Timestamps of the records in a range, and the status that ended it.
+std::pair<std::vector<Timestamp>, std::vector<StatusCode>> ReadRange(
+    const std::string& path, uint64_t offset, uint64_t length) {
+  MrtFileReader r;
+  EXPECT_TRUE(r.Open(path, offset, length).ok());
+  std::vector<Timestamp> records;
+  std::vector<StatusCode> errors;
+  while (true) {
+    auto rec = r.Next();
+    if (rec.ok()) {
+      records.push_back(rec->timestamp);
+      continue;
+    }
+    errors.push_back(rec.status().code());
+    if (rec.status().code() == StatusCode::EndOfStream) break;
+  }
+  return {records, errors};
+}
+
+TEST_F(MrtFileTest, RangeOnRecordBoundariesYieldsExactlyItsRecords) {
+  auto sizes = WriteThreeUpdates(path_.string());
+  const std::vector<StatusCode> clean{StatusCode::EndOfStream};
+
+  auto middle = ReadRange(path_.string(), sizes[0], sizes[1]);
+  EXPECT_EQ(middle.first, std::vector<Timestamp>{101});
+  EXPECT_EQ(middle.second, clean);
+
+  auto tail = ReadRange(path_.string(), sizes[0], sizes[1] + sizes[2]);
+  EXPECT_EQ(tail.first, (std::vector<Timestamp>{101, 102}));
+  EXPECT_EQ(tail.second, clean);
+
+  // Length 0 and Open(path) read the whole file.
+  auto whole = ReadRange(path_.string(), 0, 0);
+  EXPECT_EQ(whole.first, (std::vector<Timestamp>{100, 101, 102}));
+  EXPECT_EQ(whole.second, clean);
+  MrtFileReader r;
+  ASSERT_TRUE(r.Open(path_.string()).ok());
+  size_t n = 0;
+  while (r.Next().ok()) ++n;
+  EXPECT_EQ(n, 3u);
+}
+
+TEST_F(MrtFileTest, RangeEndingInsideARecordReadsLikeATruncatedFile) {
+  auto sizes = WriteThreeUpdates(path_.string());
+  const std::vector<StatusCode> truncated{StatusCode::Corrupt,
+                                          StatusCode::EndOfStream};
+
+  // Ends inside the second record's body, then inside its header.
+  auto body = ReadRange(path_.string(), 0, sizes[0] + sizes[1] - 5);
+  EXPECT_EQ(body.first, std::vector<Timestamp>{100});
+  EXPECT_EQ(body.second, truncated);
+
+  auto header = ReadRange(path_.string(), 0, sizes[0] + 5);
+  EXPECT_EQ(header.first, std::vector<Timestamp>{100});
+  EXPECT_EQ(header.second, truncated);
+}
+
+TEST_F(MrtFileTest, FlushAndCloseReportWritesThatFail) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Bytes rec = EncodeBgp4mpUpdate(100, MakeUpdateMsg());
+
+  MrtFileWriter flushed;
+  ASSERT_TRUE(flushed.Open("/dev/full").ok());
+  ASSERT_TRUE(flushed.Write(rec).ok());  // buffered, not yet written
+  EXPECT_EQ(flushed.Flush().code(), StatusCode::IoError);
+
+  MrtFileWriter closed;
+  ASSERT_TRUE(closed.Open("/dev/full").ok());
+  ASSERT_TRUE(closed.Write(rec).ok());
+  EXPECT_EQ(closed.Close().code(), StatusCode::IoError);
+}
+
 TEST_F(MrtFileTest, ScanCountsCorruptTail) {
   MrtFileWriter w;
   ASSERT_TRUE(w.Open(path_.string()).ok());

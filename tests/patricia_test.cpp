@@ -218,7 +218,9 @@ TEST_P(PatriciaRandomized, EraseMatchesBruteForceAndPrunes) {
     }
     auto got = t.longest_match(addr);
     EXPECT_EQ(got.has_value(), best.has_value()) << addr.ToString();
-    if (got && best) EXPECT_EQ(got->first, *best);
+    if (got && best) {
+      EXPECT_EQ(got->first, *best);
+    }
   }
   // Remove the rest: the trie must shed every node, glue included.
   for (const auto& [p, _] : ref) EXPECT_TRUE(t.erase(p));

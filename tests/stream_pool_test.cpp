@@ -533,7 +533,7 @@ TEST_F(StreamPoolTest, StartRejectsBadTenantKnobsWithExactMessages) {
   auto pool = StreamPool::Create(popt);
   ASSERT_TRUE(pool.ok());
   {
-    auto stream = (*pool)->CreateStream({}, {.weight = 0});
+    auto stream = (*pool)->CreateStream({}, {.weight = 0, .name = "zero"});
     VectorDataInterface di(archives_[0]);
     stream->SetInterval(0, 4102444800);
     stream->SetDataInterface(&di);

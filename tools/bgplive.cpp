@@ -42,10 +42,11 @@ replay:
                   partial-frame reassembly (default 0 = whole frames)
 
 live source:
-  --spool DIR     micro-dump spool directory
+  --spool DIR     directory of the spool segment live.mrt
                   (default: <archive>/.bgplive-spool)
   --flush-records N
-                  records per published micro-dump (default 64)
+                  most records per published micro-dump; a waiting
+                  tenant gets pending records at once (default 64)
 
 tenant:
   --threads N     pool decode worker threads (default 2)
@@ -159,6 +160,9 @@ int main(int argc, char** argv) {
   // archive, and LiveSource::Create would make it under a missing root.
   broker::ArchiveIndex index(archive);
   if (Status st = index.Rescan(); !st.ok()) return fail(st.ToString());
+  // ReplayArchive replays this same index, so it would fail on it too.
+  if (index.files().empty())
+    return fail(NotFoundError("no MRT files under " + archive).ToString());
   if (spool.empty()) spool = archive + "/.bgplive-spool";
 
   auto pool = StreamPool::Create(
