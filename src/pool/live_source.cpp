@@ -32,8 +32,10 @@ Result<std::unique_ptr<LiveSource>> LiveSource::Create(Options options) {
 Status LiveSource::FlushLocked() {
   if (pending_.empty() || !spool_status_.ok()) return spool_status_;
 
-  if (!segment_.is_open())
-    spool_status_ = segment_.Open(options_.spool_dir + "/live.mrt");
+  if (!segment_) {
+    segment_.emplace();
+    spool_status_ = segment_->Open(options_.spool_dir + "/live.mrt");
+  }
   Timestamp first = pending_.front().first;
   Timestamp last = first;
   uint64_t length = 0;
@@ -41,12 +43,12 @@ Status LiveSource::FlushLocked() {
     if (!spool_status_.ok()) break;
     if (ts < first) first = ts;
     if (ts > last) last = ts;
-    spool_status_ = segment_.Write(encoded);
+    spool_status_ = segment_->Write(encoded);
     length += encoded.size();
   }
   // The consumer opens the segment to read this range as soon as it is
   // pushed, so the bytes must have left the stream's buffer first.
-  if (spool_status_.ok()) spool_status_ = segment_.Flush();
+  if (spool_status_.ok()) spool_status_ = segment_->Flush();
   BGPS_RETURN_IF_ERROR(spool_status_);
 
   broker::DumpFileMeta meta;
@@ -56,7 +58,7 @@ Status LiveSource::FlushLocked() {
   meta.start = first;
   meta.duration = last - first;
   meta.publish_time = last;
-  meta.path = segment_.path();
+  meta.path = segment_->path();
   meta.offset = segment_bytes_;
   meta.length = length;
   segment_bytes_ += length;
@@ -249,7 +251,7 @@ Status LiveSource::Close() {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_) return OkStatus();
   Status flushed = FlushLocked();
-  if (flushed.ok() && segment_.is_open()) flushed = segment_.Close();
+  if (flushed.ok() && segment_) flushed = segment_->Close();
   closed_ = true;
   feed_.Close();
   return flushed;

@@ -60,6 +60,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -172,7 +173,9 @@ class LiveSource {
   // ingestion order. Each entry holds one governor lease.
   std::vector<std::pair<Timestamp, Bytes>> pending_;
   size_t leases_ = 0;    // governor slots held for pending_
-  mrt::MrtFileWriter segment_;  // <spool_dir>/live.mrt once opened
+  // <spool_dir>/live.mrt, built at the first flush so that Create
+  // does no stream set-up.
+  std::optional<mrt::MrtFileWriter> segment_;
   uint64_t segment_bytes_ = 0;  // bytes appended and flushed so far
   Status spool_status_;         // the first failed open or append
   // local ASN learned from each peer's Peer Up OPEN, keyed by
