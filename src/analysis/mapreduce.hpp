@@ -78,11 +78,11 @@ auto RunPartitioned(const std::vector<Partition>& partitions, Fn&& fn,
   for (size_t i = 0; i < partitions.size(); ++i) {
     tenant->Submit([&, i] {
       results[i] = fn(partitions[i]);
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        ++done;
-      }
-      done_cv.notify_one();
+      // Notify under the lock: the caller cannot see the last `done`,
+      // return and destroy done_cv while this task is still inside the
+      // notify.
+      std::lock_guard<std::mutex> lock(mu);
+      if (++done == partitions.size()) done_cv.notify_one();
     });
   }
   std::unique_lock<std::mutex> lock(mu);

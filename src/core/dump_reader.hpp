@@ -39,6 +39,10 @@ class DumpReader {
   // Next record, or nullopt when the dump is exhausted.
   std::optional<Record> Next();
 
+  // True once Next() has returned the dump's last record (its
+  // lookahead found nothing more), so a caller need not ask again.
+  bool done() const { return done_; }
+
   // Peer index table seen in this file (RIB dumps), for elem extraction.
   const mrt::PeerIndexTable* peer_index() const { return peer_index_.get(); }
 

@@ -4,8 +4,11 @@
 
 namespace bgps::core {
 
-// Drains one ChunkedFile's bounded buffer as a RecordSource. The decode
-// tasks refill the buffer (via State::active) while the consumer merges.
+// Drains one ChunkedFile's bounded buffer as a RecordSource, a chunk at
+// a time: Peek and Next read the chunk this source owns without a lock,
+// and only a drained chunk goes back to State::mu for the next one. The
+// decode tasks refill the buffer (via State::active) while the consumer
+// merges.
 class PrefetchDecoder::ChunkedSource : public RecordSource {
  public:
   ChunkedSource(std::shared_ptr<State> st, std::shared_ptr<ChunkedFile> cf)
@@ -14,8 +17,10 @@ class PrefetchDecoder::ChunkedSource : public RecordSource {
   ~ChunkedSource() override {
     std::lock_guard<std::mutex> lock(st_->mu);
     cf_->abandoned = true;
-    st_->buffered -= cf_->buffer.size();
-    cf_->buffer.clear();
+    st_->buffered -= cf_->buffered + cf_->held;
+    cf_->chunks.clear();
+    cf_->buffered = 0;
+    cf_->held = 0;
     ReleaseSlotsLocked(*st_, *cf_);
     if (!cf_->claimed) {
       // No task holds the reader; a claimed one cleans up on unclaim.
@@ -27,44 +32,50 @@ class PrefetchDecoder::ChunkedSource : public RecordSource {
   const broker::DumpFileMeta& meta() const override { return cf_->meta; }
 
   std::optional<Timestamp> PeekTimestamp() override {
-    std::unique_lock<std::mutex> lock(st_->mu);
-    WaitForRecordLocked(lock);
-    if (cf_->buffer.empty()) return std::nullopt;
-    return cf_->buffer.front().timestamp;
+    if (next_ == chunk_.size() && !Take()) return std::nullopt;
+    return chunk_[next_].timestamp;
   }
 
   std::optional<Record> Next() override {
-    std::unique_lock<std::mutex> lock(st_->mu);
-    WaitForRecordLocked(lock);
-    if (cf_->buffer.empty()) return std::nullopt;
-    Record rec = std::move(cf_->buffer.front());
-    cf_->buffer.pop_front();
-    --st_->buffered;
-    // Return the drained slot(s) to the global budget (keeping the
-    // file's floor until it completes). Top the buffer back up once it
-    // is half drained — urgent, since the merge heap will come back
-    // for this file — rather than queueing a task per pop.
-    ReleaseSlotsLocked(*st_, *cf_);
-    if (cf_->buffer.size() * 2 <= cf_->capacity) {
-      ScheduleFill(st_, cf_, /*urgent=*/true);
-    }
-    return rec;
+    if (next_ == chunk_.size() && !Take()) return std::nullopt;
+    return std::move(chunk_[next_++]);
   }
 
  private:
-  // Blocks until the file has a buffered record or has truly ended.
-  // Pops schedule the refill before the buffer runs dry; the urgent
-  // submit here is a backstop for a wait that finds no fill queued or
-  // running.
-  void WaitForRecordLocked(std::unique_lock<std::mutex>& lock) {
-    while (cf_->buffer.empty() && !cf_->done) {
+  // Swaps the drained chunk for the file's oldest buffered one, blocking
+  // until a chunk or the end of the file. False at the end.
+  bool Take() {
+    chunk_.clear();
+    next_ = 0;
+    std::unique_lock<std::mutex> lock(st_->mu);
+    // Return the drained chunk's slots to the global budget (keeping
+    // the file's floor until it completes) before any wait: a fill that
+    // this wait needs may need them.
+    st_->buffered -= cf_->held;
+    cf_->held = 0;
+    ReleaseSlotsLocked(*st_, *cf_);
+    // Takes schedule the refill before the buffer runs dry; the urgent
+    // submit here is a backstop for a wait that finds no fill queued or
+    // running.
+    while (cf_->chunks.empty() && !cf_->done) {
       if (!cf_->claimed) ScheduleFill(st_, cf_, /*urgent=*/true);
       st_->chunk_cv.wait(lock);
     }
+    if (cf_->chunks.empty()) return false;
+    chunk_.swap(cf_->chunks.front());
+    cf_->chunks.pop_front();
+    cf_->buffered -= chunk_.size();
+    cf_->held = chunk_.size();
+    // Top the buffer back up while this chunk drains — urgent, since the
+    // merge heap will come back for this file.
+    if (HasRoom(*cf_)) ScheduleFill(st_, cf_, /*urgent=*/true);
+    return true;
   }
 
   std::shared_ptr<State> st_;
   std::shared_ptr<ChunkedFile> cf_;
+  std::vector<Record> chunk_;  // owned by this source; read without locks
+  size_t next_ = 0;            // chunk_'s next unread record
 };
 
 void PrefetchDecoder::ScheduleFill(const std::shared_ptr<State>& st,
@@ -73,15 +84,24 @@ void PrefetchDecoder::ScheduleFill(const std::shared_ptr<State>& st,
   if (st->stopping || st->tenant == nullptr) return;
   if (cf->claimed || cf->done || cf->abandoned) return;
   cf->claimed = true;
-  // The task remembers its band: when an open-only leg re-submits the
-  // decode burst (see FillChunked), the continuation stays in the band
-  // the fill was scheduled in.
+  SubmitLeg(st, cf, urgent);
+}
+
+void PrefetchDecoder::SubmitLeg(const std::shared_ptr<State>& st,
+                                const std::shared_ptr<ChunkedFile>& cf,
+                                bool urgent) {
+  // The task remembers its band: every later leg of this claim (see
+  // FillChunked) stays in the band the fill was scheduled in.
   auto task = [st, cf, urgent] { FillChunked(st, cf, urgent); };
   if (urgent) {
     st->tenant->SubmitUrgent(std::move(task));
   } else {
     st->tenant->Submit(std::move(task));
   }
+}
+
+bool PrefetchDecoder::HasRoom(const ChunkedFile& cf) {
+  return cf.buffered + cf.held < cf.capacity;
 }
 
 PrefetchDecoder::PrefetchDecoder(Options options)
@@ -134,6 +154,8 @@ void PrefetchDecoder::Submit(std::vector<broker::DumpFileMeta> subset) {
     // The caller acquired one floor slot per file (see Options::governor
     // contract); the decoder owns them from here on.
     cf->slots = 1;
+    // The merge needs every file's first record before it emits one.
+    cf->lead = subset.size() > 1;
     files.push_back(std::move(cf));
   }
   std::lock_guard<std::mutex> lock(state_->mu);
@@ -195,10 +217,10 @@ size_t PrefetchDecoder::tenant_tasks_run() const {
 }
 
 bool PrefetchDecoder::SubsetLive(const Subset& subset) {
-  // Buffered records count even after EOF: the prefetch_subsets memory
+  // Leased records count even after EOF: the prefetch_subsets memory
   // bound must not admit an extra subset while buffers are still full.
   for (const auto& cf : subset) {
-    if (!cf->done || !cf->buffer.empty()) return true;
+    if (!cf->done || cf->buffered + cf->held > 0) return true;
   }
   return false;
 }
@@ -213,13 +235,14 @@ void PrefetchDecoder::PruneActiveLocked(State& st) {
 void PrefetchDecoder::ReleaseSlotsLocked(State& st, ChunkedFile& cf) {
   if (cf.slots == 0) return;
   // A completed-and-drained (or abandoned) file needs nothing; a live
-  // one needs one slot per buffered record (plus one for a record the
+  // one needs one slot per leased record (plus one for each record the
   // fill task is decoding right now) and its floor.
+  size_t leased = cf.buffered + cf.held;
   size_t target;
-  if (cf.abandoned || (cf.done && cf.buffer.empty())) {
+  if (cf.abandoned || (cf.done && leased == 0)) {
     target = 0;
   } else {
-    target = std::max<size_t>(cf.done ? 0 : 1, cf.buffer.size() + cf.decoding);
+    target = std::max<size_t>(cf.done ? 0 : 1, leased + cf.decoding);
   }
   if (cf.slots > target) {
     st.governor->Release(cf.slots - target);
@@ -231,6 +254,7 @@ void PrefetchDecoder::FillChunked(const std::shared_ptr<State>& st,
                                   const std::shared_ptr<ChunkedFile>& cfp,
                                   bool urgent) {
   ChunkedFile& cf = *cfp;
+  std::vector<Record> chunk;  // before the lock: a dropped chunk frees unlocked
   std::unique_lock<std::mutex> lock(st->mu);
   bool opened = false;
   if (!cf.reader && !cf.done && !cf.abandoned && !st->stopping) {
@@ -243,64 +267,100 @@ void PrefetchDecoder::FillChunked(const std::shared_ptr<State>& st,
     cf.reader = std::move(reader);
   }
   // Head-of-line split: the open above (archive-latency bound — in the
-  // paper's deployment an HTTP fetch) and the decode burst below (CPU
-  // bound, up to `capacity` records) run as separate tasks. The burst
-  // goes back to this tenant's queue in the same band, so the worker is
-  // released after the open and a rival tenant whose open is queued can
-  // get its round-robin turn before this file's burst runs. cf stays
-  // claimed — the continuation task is the claim's next leg, so no
-  // duplicate fill can schedule.
-  if (opened && !st->stopping && !cf.abandoned && !cf.done &&
-      st->tenant != nullptr) {
-    auto task = [st, cfp, urgent] { FillChunked(st, cfp, urgent); };
-    if (urgent) {
-      st->tenant->SubmitUrgent(std::move(task));
-    } else {
-      st->tenant->Submit(std::move(task));
-    }
+  // paper's deployment an HTTP fetch) and the decode legs below (CPU
+  // bound) run as separate tasks. The first leg goes back to this
+  // tenant's queue in the same band, so the worker is released after
+  // the open and a rival tenant whose open is queued can get its
+  // round-robin turn before this file decodes. cf stays claimed — each
+  // continuation task is the claim's next leg, so no duplicate fill can
+  // schedule.
+  bool fillable = !st->stopping && !cf.abandoned && !cf.done;
+  if (opened && fillable && st->tenant != nullptr) {
+    SubmitLeg(st, cfp, urgent);
     return;
   }
-  while (!st->stopping && !cf.abandoned && !cf.done &&
-         cf.buffer.size() < cf.capacity) {
-    // Lease a slot for the next record *before* decoding it. The first
-    // record rides on the file's floor slot; extras are opportunistic
-    // (TryAcquire never blocks the shared Executor) — when the global
-    // budget is spent, stop filling; consumer pops re-schedule us.
-    if (cf.buffer.size() + 1 > cf.slots) {
-      if (!st->governor->TryAcquire(1)) break;
-      ++cf.slots;
+  bool requeue = false;
+  bool wake = false;  // a take waiting on this file may proceed
+  if (fillable && HasRoom(cf)) {
+    // One chunk per leg, at most half the buffer so the consumer's
+    // chunk and the next one fit together; a lead leg yields after one
+    // record.
+    size_t leased = cf.buffered + cf.held;
+    size_t want = cf.lead ? 1
+                          : std::min({kLegRecords,
+                                      std::max<size_t>(1, cf.capacity / 2),
+                                      cf.capacity - leased});
+    // Lease the chunk's slots *before* decoding it, with one TryAcquire
+    // (never blocking the shared Executor). A record rides on the
+    // file's floor slot when nothing else is leased. When the global
+    // budget cannot cover the chunk, decode one record on a spare or
+    // single slot; with none, stop filling — takes re-schedule us.
+    size_t spare = cf.slots - std::min(cf.slots, leased);
+    size_t n = want;
+    if (want > spare && !st->governor->TryAcquire(want - spare)) {
+      n = (spare > 0 || st->governor->TryAcquire(1)) ? 1 : 0;
     }
-    cf.decoding = 1;  // the lease above covers the record decoded next
-    lock.unlock();
-    std::optional<Record> rec = cf.reader->Next();
-    lock.lock();
-    // Holding the lock through the push below: no pop can interleave
-    // between clearing the in-flight mark and the slot becoming a
-    // buffered record's.
-    cf.decoding = 0;
-    if (!rec) {
-      cf.done = true;
-      cf.reader.reset();  // release the file handle; nothing left to read
-      ++st->files_decoded;
-      break;
+    cf.slots = std::max(cf.slots, leased + n);
+    if (n > 0) {
+      cf.decoding = n;
+      DumpReader& reader = *cf.reader;
+      lock.unlock();
+      chunk.reserve(n);
+      bool eof = false;
+      while (chunk.size() < n) {
+        std::optional<Record> rec = reader.Next();
+        if (!rec) {
+          eof = true;
+          break;
+        }
+        chunk.push_back(std::move(*rec));
+        // The reader's lookahead already knows whether that was the
+        // last record: end the file in this leg, not the next.
+        if (reader.done()) {
+          eof = true;
+          break;
+        }
+      }
+      lock.lock();
+      // Holding the lock through the append below: no take can
+      // interleave between clearing the in-flight mark and the slots
+      // becoming buffered records'.
+      cf.decoding = 0;
+      cf.lead = false;
+      if (eof) {
+        cf.done = true;
+        cf.reader.reset();  // release the file handle; nothing left to read
+        ++st->files_decoded;
+      }
+      wake = eof;
+      if (!cf.abandoned && !chunk.empty()) {
+        // Wake a consumer blocked on this file right away instead of
+        // making it wait for a full buffer.
+        wake = wake || cf.chunks.empty();
+        cf.buffered += chunk.size();
+        st->buffered += chunk.size();
+        st->max_buffered = std::max(st->max_buffered, st->buffered);
+        cf.chunks.push_back(std::move(chunk));
+      }
+      requeue = n == want && !eof && !cf.abandoned && !st->stopping &&
+                st->tenant != nullptr && HasRoom(cf);
     }
-    if (cf.abandoned) break;  // consumer is gone: drop the record
-    cf.buffer.push_back(std::move(*rec));
-    ++st->buffered;
-    st->max_buffered = std::max(st->max_buffered, st->buffered);
-    // Wake a consumer blocked on this file's first record right away
-    // instead of making it wait for a full buffer.
-    if (cf.buffer.size() == 1) st->chunk_cv.notify_all();
   }
   if (cf.abandoned) {
     cf.reader.reset();
     cf.done = true;
   }
   // Hand back any slot leased for a record that never materialized
-  // (EOF, denied push, shutdown) — and everything, once dead.
+  // (EOF, dropped chunk, shutdown) — and everything, once dead.
   ReleaseSlotsLocked(*st, cf);
-  cf.claimed = false;
-  st->chunk_cv.notify_all();
+  if (requeue) {
+    SubmitLeg(st, cfp, urgent);
+  } else {
+    // Unclaimed: a waiting take must see it to schedule the next fill.
+    cf.claimed = false;
+    wake = true;
+  }
+  if (wake) st->chunk_cv.notify_all();
 }
 
 }  // namespace bgps::core

@@ -1,6 +1,7 @@
 #include "util/time.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <optional>
 
@@ -47,6 +48,24 @@ Result<size_t> ParseCountFlag(std::string_view flag, std::string_view token,
                            std::string(token) + "\"");
   if (*n > max) return InvalidArgument(std::string(flag) + " is out of range");
   return *n;
+}
+
+Result<double> ParseRealFlag(std::string_view flag, std::string_view token,
+                             bool allow_zero, std::string_view unit) {
+  double v = 0;
+  const char* end = token.data() + token.size();
+  auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (token.empty() || ec != std::errc() || ptr != end || !std::isfinite(v))
+    return InvalidArgument(std::string(flag) +
+                           " must be a finite number, got \"" +
+                           std::string(token) + "\"");
+  if (allow_zero ? v < 0 : v <= 0) {
+    std::string msg = std::string(flag) + (allow_zero ? " must be >= 0"
+                                                      : " must be > 0");
+    if (!unit.empty()) msg += " " + std::string(unit);
+    return InvalidArgument(msg);
+  }
+  return v;
 }
 
 int64_t DaysFromCivil(int y, int m, int d) {

@@ -66,6 +66,16 @@ Result<TimeInterval> ParseTimeWindow(std::string_view text);
 Result<size_t> ParseCountFlag(std::string_view flag, std::string_view token,
                               size_t max = SIZE_MAX);
 
+// Parses a command-line real-valued flag's value (--speedup,
+// --flaps-per-hour, --pool-stats-interval) by the same whole-token
+// rule: one finite decimal number, no trailing text. "nan", "inf" and
+// "2x" fail with "<flag> must be a finite number, got \"<token>\"". The
+// value must be > 0, or >= 0 with `allow_zero`; otherwise the error is
+// "<flag> must be > 0" (or ">= 0"), followed by " <unit>" when given.
+Result<double> ParseRealFlag(std::string_view flag, std::string_view token,
+                             bool allow_zero = false,
+                             std::string_view unit = {});
+
 // Aligns `ts` down to a multiple of `bin` seconds.
 inline Timestamp AlignToBin(Timestamp ts, Timestamp bin) {
   return (ts / bin) * bin;

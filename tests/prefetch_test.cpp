@@ -5,6 +5,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -172,6 +173,172 @@ TEST(PrefetchDecoderTest, OpenDoesNotWaitBehindRivalDecodeBurst) {
   }
   std::error_code ec;
   fs::remove_all(dir, ec);
+}
+
+// A directory of small update dumps, removed with the test.
+class UpdateDumps {
+ public:
+  explicit UpdateDumps(const std::string& tag)
+      : dir_(std::filesystem::temp_directory_path() /
+             (tag + std::to_string(::getpid()))) {
+    std::filesystem::create_directories(dir_);
+  }
+  ~UpdateDumps() {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  // Writes `n` one-prefix updates, one a second from kStart, and returns
+  // the dump's meta under `collector`.
+  DumpFileMeta Write(const std::string& collector, size_t n) {
+    std::string path = (dir_ / (collector + ".mrt")).string();
+    mrt::MrtFileWriter w;
+    EXPECT_TRUE(w.Open(path).ok());
+    for (size_t i = 0; i < n; ++i) {
+      mrt::Bgp4mpMessage m;
+      m.peer_asn = 65001;
+      m.local_asn = 64512;
+      m.peer_address = IpAddress::V4(10, 0, 0, 1);
+      m.local_address = IpAddress::V4(192, 0, 2, 1);
+      m.update.attrs.as_path = bgp::AsPath::Sequence({65001, 15169});
+      m.update.attrs.next_hop = IpAddress::V4(10, 0, 0, 1);
+      m.update.announced.push_back(Prefix(
+          IpAddress::V4(10, uint8_t(i >> 8), uint8_t(i & 0xff), 0), 24));
+      EXPECT_TRUE(
+          w.Write(mrt::EncodeBgp4mpUpdate(kStart + Timestamp(i), m)).ok());
+    }
+    EXPECT_TRUE(w.Close().ok());
+    DumpFileMeta meta;
+    meta.project = "test";
+    meta.collector = collector;
+    meta.type = DumpType::Updates;
+    meta.start = kStart;
+    meta.duration = 3600;
+    meta.path = path;
+    return meta;
+  }
+
+  static constexpr Timestamp kStart = 1458000000;
+
+ private:
+  std::filesystem::path dir_;
+};
+
+// Holds the executor's only worker in a task of its own tenant until
+// Open(), so every task queued meanwhile is claimed in round-robin
+// order afterwards.
+class WorkerGate {
+ public:
+  explicit WorkerGate(Executor& ex) : tenant_(ex.CreateTenant()) {
+    std::promise<void> entered;
+    std::future<void> entered_future = entered.get_future();
+    tenant_->Submit([this, &entered] {
+      entered.set_value();
+      open_.get_future().wait();
+    });
+    entered_future.wait();
+  }
+  void Open() { open_.set_value(); }
+
+ private:
+  std::promise<void> open_;
+  std::unique_ptr<Executor::Tenant> tenant_;
+};
+
+// With one worker and a multi-file subset, each file's first decode leg
+// yields after one record, so the merge can emit its first record once
+// every file has decoded one, not after the earlier files' whole bursts
+// (there, the last file's first record came after (files - 1) ×
+// capacity decoded records). A probe tenant samples buffered_records()
+// between the decoder's tasks; with one worker no decode runs during a
+// sample, and no consumer runs until the probes are done.
+TEST(PrefetchDecoderTest, MultiFileSubsetFillsTheMergeAfterOneRecordPerFile) {
+  constexpr size_t kFiles = 3;
+  constexpr size_t kRecords = 200;
+  constexpr size_t kCapacity = 64;  // per file
+  UpdateDumps dumps("bgps_lead_leg_test_");
+  std::vector<DumpFileMeta> subset;
+  for (size_t f = 0; f < kFiles; ++f) {
+    subset.push_back(dumps.Write("c" + std::to_string(f), kRecords));
+  }
+
+  auto ex = std::make_shared<Executor>(Executor::Options{.threads = 1});
+  WorkerGate gate(*ex);
+  auto gov = std::make_shared<MemoryGovernor>(1024);
+  PrefetchDecoder::Options opt;
+  opt.executor = ex;
+  opt.governor = gov;
+  opt.max_records_in_flight = kFiles * kCapacity;
+  PrefetchDecoder decoder(std::move(opt));
+
+  // Created after the decoder's tenant, so the cursor alternates: one
+  // decoder task, then one sample.
+  constexpr size_t kProbes = 12;
+  std::vector<size_t> samples;  // touched only by the worker until `probed`
+  std::promise<void> probed;
+  auto probe = ex->CreateTenant();
+  for (size_t i = 0; i < kProbes; ++i) {
+    probe->Submit([&, i] {
+      samples.push_back(decoder.buffered_records());
+      if (i + 1 == kProbes) probed.set_value();
+    });
+  }
+  SubmitWithFloors(decoder, *gov, subset);
+  auto sources = decoder.NextSources();
+  gate.Open();
+  probed.get_future().wait();
+
+  // The first sample with as many records as files holds exactly one
+  // record per file: the opens, then one one-record leg per file.
+  auto heap_full = std::find_if(samples.begin(), samples.end(),
+                                [](size_t n) { return n >= kFiles; });
+  ASSERT_NE(heap_full, samples.end());
+  EXPECT_EQ(*heap_full, kFiles)
+      << "samples: " << ::testing::PrintToString(samples);
+
+  // The merge still emits every record, ties in file order.
+  MultiWayMerge merge(std::move(sources));
+  size_t i = 0;
+  for (; auto rec = merge.Next(); ++i) {
+    ASSERT_LT(i, kFiles * kRecords);
+    EXPECT_EQ(rec->timestamp, UpdateDumps::kStart + Timestamp(i / kFiles));
+    EXPECT_EQ(rec->collector, "c" + std::to_string(i % kFiles));
+  }
+  EXPECT_EQ(i, kFiles * kRecords);
+}
+
+// A file alone in its subset, as every live micro-dump is, takes two
+// decoder tasks: the open leg and one decode leg. There is no merge heap
+// to fill, so no one-record lead leg; and the leg that decodes the last
+// record also ends the file, although its chunk (half the buffer) is
+// exactly the file, instead of leaving the end to a third task.
+TEST(PrefetchDecoderTest, OneFileSubsetFinishesInOpenLegPlusOneDecodeLeg) {
+  UpdateDumps dumps("bgps_one_file_legs_test_");
+  for (size_t records : {1, 3}) {
+    SCOPED_TRACE(records);
+    DumpFileMeta meta = dumps.Write("solo" + std::to_string(records), records);
+    PrefetchDecoder::Options opt = FreshRuntime(1, 64);
+    opt.max_records_in_flight = 2 * records;
+    auto ex = opt.executor;
+    auto gov = opt.governor;
+    PrefetchDecoder decoder(std::move(opt));
+    SubmitWithFloors(decoder, *gov, {meta});
+    auto sources = decoder.NextSources();
+    size_t got = 0;
+    while (sources[0]->Next()) ++got;
+    EXPECT_EQ(got, records);
+
+    // The file has ended, so only a running leg could still queue a
+    // task. Once a task of another tenant has run on the one worker,
+    // every decoder task claimed before it is counted, and any queued
+    // since would still be queued.
+    auto sentinel = ex->CreateTenant();
+    std::promise<void> ran;
+    sentinel->Submit([&ran] { ran.set_value(); });
+    ran.get_future().wait();
+    EXPECT_EQ(decoder.queued_tasks(), 0u);
+    EXPECT_EQ(decoder.tenant_tasks_run(), 2u);
+  }
 }
 
 TEST(PrefetchDecoderTest, ReturnsSubsetsInSubmitOrderWithFileOrderKept) {

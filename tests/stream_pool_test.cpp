@@ -433,6 +433,33 @@ TEST_F(StreamPoolTest, PausedTenantWithinItsCapDoesNotStarveARival) {
   EXPECT_TRUE((*pool)->governor()->health().ok());
 }
 
+// A stream destroyed while its consumer holds a partly drained chunk
+// returns every lease. The chunk's records stay leased until the
+// source's next take, so dropping the source must hand them back.
+TEST_F(StreamPoolTest, StreamDroppedMidChunkReturnsEveryLease) {
+  StreamPool::Options popt;
+  popt.threads = 1;
+  popt.record_budget = 256;
+  auto pool = StreamPool::Create(popt);
+  ASSERT_TRUE(pool.ok());
+  auto stream = (*pool)->CreateStream();
+  // One file, alone in its subset: the source takes its first decode
+  // leg's chunk whole (8 records), so after 3 records it holds a partly
+  // drained chunk, still leased.
+  VectorDataInterface di({archives_[0][0]});
+  stream->SetInterval(0, 4102444800);
+  stream->SetDataInterface(&di);
+  ASSERT_TRUE(stream->Start().ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(stream->NextRecord().has_value());
+  EXPECT_GT(stream->stats().records_buffered, 3u);
+  EXPECT_GT((*pool)->records_in_use(), 3u);
+
+  stream.reset();
+  EXPECT_EQ((*pool)->records_in_use(), 0u);
+  EXPECT_TRUE((*pool)->governor()->health().ok())
+      << (*pool)->governor()->health().ToString();
+}
+
 TEST_F(StreamPoolTest, StatsSnapshotInvariantsHoldUnderConcurrentStreams) {
   // 4 tenants stream concurrently while a sampler hammers Stats():
   // every snapshot must satisfy the ledger and scheduling invariants.

@@ -238,6 +238,44 @@ TEST(Time, ParseCountFlag) {
   EXPECT_EQ(over.status().message(), "--listen is out of range");
 }
 
+TEST(Time, ParseRealFlag) {
+  auto half = ParseRealFlag("--speedup", "0.5");
+  ASSERT_TRUE(half.ok());
+  EXPECT_EQ(*half, 0.5);
+  auto sci = ParseRealFlag("--speedup", "1e3");
+  ASSERT_TRUE(sci.ok());
+  EXPECT_EQ(*sci, 1000.0);
+  auto zero = ParseRealFlag("--flaps-per-hour", "0", /*allow_zero=*/true);
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(*zero, 0.0);
+
+  // strtod took "nan" and "inf" as values and "2x" as 2; the whole
+  // token must be one finite number.
+  for (const char* token :
+       {"", "abc", "nan", "inf", "-inf", "2x", " 2", "+2", "1e400"}) {
+    auto v = ParseRealFlag("--speedup", token);
+    ASSERT_FALSE(v.ok()) << token;
+    EXPECT_EQ(v.status().code(), StatusCode::InvalidArgument) << token;
+    EXPECT_EQ(v.status().message(),
+              std::string("--speedup must be a finite number, got \"") +
+                  token + "\"")
+        << token;
+  }
+
+  // The bound: > 0, or >= 0 with allow_zero; the unit ends the message.
+  for (const char* token : {"0", "-1", "-0.5"}) {
+    auto v = ParseRealFlag("--pool-stats-interval", token,
+                           /*allow_zero=*/false, "seconds");
+    ASSERT_FALSE(v.ok()) << token;
+    EXPECT_EQ(v.status().message(),
+              "--pool-stats-interval must be > 0 seconds")
+        << token;
+  }
+  auto negative = ParseRealFlag("--flaps-per-hour", "-1", /*allow_zero=*/true);
+  ASSERT_FALSE(negative.ok());
+  EXPECT_EQ(negative.status().message(), "--flaps-per-hour must be >= 0");
+}
+
 TEST(Strings, Split) {
   auto parts = SplitString("a,b,,c", ',');
   ASSERT_EQ(parts.size(), 4u);

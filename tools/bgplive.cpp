@@ -12,7 +12,6 @@
 // Periodic StreamPool snapshots (one JSON object per line, same section
 // names as bgpreader --pool-stats-json) go to stderr with --stats-interval.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -112,8 +111,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--speedup") {
       const char* v = need_value();
       if (!v) return fail("--speedup needs a factor");
-      speedup = std::strtod(v, nullptr);
-      if (speedup <= 0) return fail("--speedup must be > 0");
+      Result<double> s = ParseRealFlag(arg, v);
+      if (!s.ok()) return fail(s.status().message());
+      speedup = *s;
     } else if (arg == "--max-records") {
       Result<size_t> n = need_count("--max-records needs a count");
       if (!n.ok()) return fail(n.status().message());

@@ -222,9 +222,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--pool-stats-interval") {
       const char* v = need_value();
       if (!v) return fail("--pool-stats-interval needs seconds");
-      pool_stats_interval = std::strtod(v, nullptr);
-      if (pool_stats_interval <= 0.0)
-        return fail("--pool-stats-interval must be > 0 seconds");
+      Result<double> s = ParseRealFlag(arg, v, /*allow_zero=*/false,
+                                       "seconds");
+      if (!s.ok()) return fail(s.status().message());
+      pool_stats_interval = *s;
     } else if (arg == "-m") {
       out_options.format = reader::OutputFormat::Bgpdump;
     } else if (arg == "-r") {

@@ -8,7 +8,6 @@
 // Generation is deterministic: the same seed and knobs reproduce the
 // archive byte for byte (the property the round-trip tests pin down).
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -115,9 +114,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--flaps-per-hour") {
       const char* v = need_value();
       if (!v) return fail("--flaps-per-hour needs a rate");
-      options.flaps_per_hour = std::strtod(v, nullptr);
-      if (options.flaps_per_hour < 0)
-        return fail("--flaps-per-hour must be >= 0");
+      Result<double> r = ParseRealFlag(arg, v, /*allow_zero=*/true);
+      if (!r.ok()) return fail(r.status().message());
+      options.flaps_per_hour = *r;
     } else if (arg == "--rv") {
       Result<size_t> n = need_count("--rv needs a count", kMaxInt);
       if (!n.ok()) return fail(n.status().message());
