@@ -253,6 +253,17 @@ Status ReadElemInto(BufReader& r, core::Elem& e) {
   return OkStatus();
 }
 
+// Wire size of the smallest elem WriteElem emits: v4 addresses, an
+// empty AS path and no communities.
+constexpr size_t kMinElemBytes = 36;
+
+// A batch cut short reads past the end of its payload: that is a
+// corrupt batch, not a caller's range error.
+Status CutShortIsCorrupt(Status st) {
+  if (st.code() != StatusCode::OutOfRange) return st;
+  return CorruptError("record batch cut short: " + st.message());
+}
+
 }  // namespace
 
 std::string RecordTopic(const std::string& collector) {
@@ -283,44 +294,90 @@ Bytes EncodeRecordBatch(const RecordBatchMessage& msg) {
   return w.take();
 }
 
-Status DecodeRecordBatchInto(const Bytes& data, RecordBatchMessage& out) {
-  BufReader r(data);
-  BGPS_ASSIGN_OR_RETURN(uint8_t kind, r.u8());
+Status RecordBatchReader::Open(MessagePtr message) {
+  BGPS_RETURN_IF_ERROR(Open(message->value));
+  message_ = std::move(message);
+  return OkStatus();
+}
+
+Status RecordBatchReader::Open(const Bytes& data) {
+  message_.reset();
+  remaining_ = 0;
+  r_ = BufReader(data);
+  Status st = CutShortIsCorrupt(ReadHeader());
+  // A failed Open leaves no view of a payload it does not keep alive.
+  if (!st.ok()) r_ = BufReader(nullptr, 0);
+  return st;
+}
+
+Status RecordBatchReader::ReadHeader() {
+  BGPS_ASSIGN_OR_RETURN(uint8_t kind, r_.u8());
   if (kind != uint8_t(RecordMessageKind::Batch))
     return CorruptError("not a record batch");
-  BGPS_ASSIGN_OR_RETURN(uint8_t version, r.u8());
+  BGPS_ASSIGN_OR_RETURN(uint8_t version, r_.u8());
   if (version != kRecordBatchVersion)
     return UnsupportedError("record batch version " + std::to_string(version));
-  BGPS_ASSIGN_OR_RETURN(out.project, ReadString(r));
-  BGPS_ASSIGN_OR_RETURN(out.collector, ReadString(r));
-  const InternedString project(out.project);
-  const InternedString collector(out.collector);
-  BGPS_ASSIGN_OR_RETURN(uint32_t n, r.u32());
-  out.records.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    PublishedRecord& pr = out.records[i];
-    core::Record& rec = pr.record;
-    BGPS_ASSIGN_OR_RETURN(pr.seq, r.u64());
-    rec.project = project;
-    rec.collector = collector;
-    BGPS_ASSIGN_OR_RETURN(uint8_t dump_type, r.u8());
-    rec.dump_type = core::DumpType(dump_type);
-    BGPS_ASSIGN_OR_RETURN(uint64_t dump_time, r.u64());
-    rec.dump_time = Timestamp(dump_time);
-    BGPS_ASSIGN_OR_RETURN(uint8_t status, r.u8());
-    rec.status = core::RecordStatus(status);
-    BGPS_ASSIGN_OR_RETURN(uint8_t position, r.u8());
-    rec.position = core::DumpPosition(position);
-    BGPS_ASSIGN_OR_RETURN(uint64_t ts, r.u64());
-    rec.timestamp = Timestamp(ts);
-    BGPS_ASSIGN_OR_RETURN(uint32_t nelems, r.u32());
-    if (!rec.prefetched_elems) rec.prefetched_elems.emplace();
-    rec.prefetched_elems->resize(nelems);
-    for (uint32_t e = 0; e < nelems; ++e) {
-      BGPS_RETURN_IF_ERROR(ReadElemInto(r, (*rec.prefetched_elems)[e]));
-    }
+  BGPS_ASSIGN_OR_RETURN(std::string project, ReadString(r_));
+  BGPS_ASSIGN_OR_RETURN(std::string collector, ReadString(r_));
+  project_ = InternedString(project);
+  collector_ = InternedString(collector);
+  BGPS_ASSIGN_OR_RETURN(remaining_, r_.u32());
+  return OkStatus();
+}
+
+Result<bool> RecordBatchReader::Next(PublishedRecord& out) {
+  if (remaining_ == 0) {
+    const bool trailing = !r_.empty();
+    message_.reset();
+    r_ = BufReader(nullptr, 0);
+    if (trailing) return CorruptError("trailing bytes after record batch");
+    return false;
   }
-  if (!r.empty()) return CorruptError("trailing bytes after record batch");
+  --remaining_;
+  BGPS_RETURN_IF_ERROR(CutShortIsCorrupt(ReadRecord(out)));
+  return true;
+}
+
+Status RecordBatchReader::ReadRecord(PublishedRecord& out) {
+  core::Record& rec = out.record;
+  BGPS_ASSIGN_OR_RETURN(out.seq, r_.u64());
+  rec.project = project_;
+  rec.collector = collector_;
+  BGPS_ASSIGN_OR_RETURN(uint8_t dump_type, r_.u8());
+  rec.dump_type = core::DumpType(dump_type);
+  BGPS_ASSIGN_OR_RETURN(uint64_t dump_time, r_.u64());
+  rec.dump_time = Timestamp(dump_time);
+  BGPS_ASSIGN_OR_RETURN(uint8_t status, r_.u8());
+  rec.status = core::RecordStatus(status);
+  BGPS_ASSIGN_OR_RETURN(uint8_t position, r_.u8());
+  rec.position = core::DumpPosition(position);
+  BGPS_ASSIGN_OR_RETURN(uint64_t ts, r_.u64());
+  rec.timestamp = Timestamp(ts);
+  BGPS_ASSIGN_OR_RETURN(uint32_t nelems, r_.u32());
+  // Checked before the buffer grows: a corrupt count must not size it.
+  if (nelems > r_.remaining() / kMinElemBytes)
+    return CorruptError("elem count exceeds the record batch");
+  if (!rec.prefetched_elems) rec.prefetched_elems.emplace();
+  rec.prefetched_elems->resize(nelems);
+  for (auto& e : *rec.prefetched_elems)
+    BGPS_RETURN_IF_ERROR(ReadElemInto(r_, e));
+  return OkStatus();
+}
+
+Status DecodeRecordBatchInto(const Bytes& data, RecordBatchMessage& out) {
+  RecordBatchReader reader;
+  BGPS_RETURN_IF_ERROR(reader.Open(data));
+  out.project = reader.project();
+  out.collector = reader.collector();
+  // Grows with the records read, never with the header's count.
+  size_t n = 0;
+  for (;;) {
+    if (n == out.records.size()) out.records.emplace_back();
+    BGPS_ASSIGN_OR_RETURN(bool more, reader.Next(out.records[n]));
+    if (!more) break;
+    ++n;
+  }
+  out.records.resize(n);
   return OkStatus();
 }
 

@@ -87,9 +87,43 @@ struct RecordBatchMessage {
 Bytes EncodeRecordBatch(const RecordBatchMessage& msg);
 Result<RecordBatchMessage> DecodeRecordBatch(const Bytes& data);
 // Arena-friendly decode: reuses `out`'s vectors (records and their elem
-// buffers keep their capacity across batches), so a steady-state
-// subscriber re-materializes records without reallocating per batch.
+// buffers keep their capacity across batches). Built on
+// RecordBatchReader, so it fails on exactly the inputs the reader does.
 Status DecodeRecordBatchInto(const Bytes& data, RecordBatchMessage& out);
+
+// Reads one encoded record batch a record at a time, so a subscriber
+// holds the batch's shared payload and at most one decoded record of
+// it. Open checks the kind, the version and the header; Next decodes
+// the next record. A batch that is malformed part way through yields
+// the records before the bad one, then Corrupt (a batch cut short
+// included); a batch with a bad kind, version or header fails Open and
+// yields none.
+class RecordBatchReader {
+ public:
+  // Reads `message`'s payload, keeping the message alive until the
+  // batch's end.
+  Status Open(MessagePtr message);
+  // Reads `data` in place; it must outlive the reads.
+  Status Open(const Bytes& data);
+
+  const InternedString& project() const { return project_; }
+  const InternedString& collector() const { return collector_; }
+
+  // Decodes the next record into `out`, reusing its elem buffer.
+  // Returns false at the end of the batch, once it has checked that no
+  // bytes trail the last record; an unopened reader is at its end.
+  Result<bool> Next(PublishedRecord& out);
+
+ private:
+  Status ReadHeader();
+  Status ReadRecord(PublishedRecord& out);
+
+  MessagePtr message_;
+  BufReader r_{nullptr, 0};
+  InternedString project_;
+  InternedString collector_;
+  uint32_t remaining_ = 0;  // records the header announced, not yet read
+};
 
 // Publisher progress marker on the kRecordWatermarkTopic: every record
 // with seq < `published_through` has been published to its collector

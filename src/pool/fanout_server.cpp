@@ -106,7 +106,6 @@ void FanoutServer::ServeConnection(int fd) {
   RecordSubscriber::Options sopt;
   sopt.cluster = options_.cluster;
   sopt.max_consecutive_polls = options_.max_consecutive_polls;
-  sopt.poll_max_bytes = options_.poll_max_bytes;
   sopt.cancel = [this] { return stop_.load(); };
 
   // --- command phase ---

@@ -43,7 +43,6 @@ class FanoutServer {
     uint16_t port = 0;
     // Forwarded to each connection's RecordSubscriber.
     size_t max_consecutive_polls = 0;
-    size_t poll_max_bytes = 0;
   };
 
   explicit FanoutServer(Options options) : options_(options) {}

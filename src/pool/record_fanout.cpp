@@ -137,8 +137,7 @@ void RecordSubscriber::DiscoverTopics() {
             // Pin first (it clamps to the retained low-watermark and
             // freezes it), then park the cursor on the pinned offset —
             // truncation cannot race past us in between.
-            options_.cluster->CreatePin(name, 0, 0),
-            {}};
+            options_.cluster->CreatePin(name, 0, 0), {}, {}, {}, false};
     t.consumer.SeekToFirst();
     topics_.push_back(std::move(t));
   }
@@ -168,15 +167,15 @@ bool RecordSubscriber::PollOnce() {
     }
   }
   DiscoverTopics();
-  // Every topic is polled every round — even one whose pending head is
-  // still above the watermark. Skipping it would park its pin, which
-  // holds the publisher's governor leases, which blocks the very flush
-  // whose watermark would make that head emittable: deadlock. Polling
-  // unconditionally keeps pins current; pending stays bounded because
-  // the log itself is bounded (retention high-watermark or the
-  // publisher's governor budget).
+  // Every topic is polled every round — even one whose head is still
+  // above the watermark. Skipping it would park its pin, which holds
+  // the publisher's governor leases, which blocks the very flush whose
+  // watermark would make that head emittable: deadlock. Polling
+  // unconditionally keeps pins current; the fetched handles stay
+  // bounded because the log itself is bounded (retention high-watermark
+  // or the publisher's governor budget).
   for (auto& t : topics_) {
-    auto msgs = t.consumer.Poll(0, options_.poll_max_bytes);
+    auto msgs = t.consumer.Poll();
     if (!msgs.ok()) {
       // Truncated: retention overran this cursor (it was created before
       // the pin, or re-seeked below the low-watermark). Surfaced, not
@@ -184,24 +183,37 @@ bool RecordSubscriber::PollOnce() {
       status_ = msgs.status();
       return progress;
     }
-    for (const auto& m : *msgs) {
-      if (Status st = mq::DecodeRecordBatchInto(m->value, scratch_);
-          !st.ok()) {
-        status_ = st;
-        return progress;
-      }
-      for (auto& pr : scratch_.records) {
-        if (pr.seq < options_.from_seq) continue;
-        t.pending.push_back(std::move(pr));
-        progress = true;
-      }
+    for (auto& m : *msgs) {
+      t.fetched.push_back(std::move(m));
+      progress = true;
     }
-    // Everything below the cursor is now re-materialized in `pending`;
-    // let retention have it (which fires evictions, which releases the
+    // Everything below the cursor is now held in `fetched`; let
+    // retention have it (which fires evictions, which releases the
     // publisher's governor leases).
     t.pin.Advance(t.consumer.position());
   }
   return progress;
+}
+
+bool RecordSubscriber::DecodeHead(Topic& t) {
+  while (!t.has_head) {
+    auto more = t.reader.Next(t.head);
+    if (!more.ok()) {
+      status_ = more.status();
+      return false;
+    }
+    if (*more) {
+      t.has_head = t.head.seq >= options_.from_seq;
+      continue;
+    }
+    if (t.fetched.empty()) return true;
+    if (Status st = t.reader.Open(std::move(t.fetched.front())); !st.ok()) {
+      status_ = st;
+      return false;
+    }
+    t.fetched.pop_front();
+  }
+  return true;
 }
 
 std::optional<core::Record> RecordSubscriber::NextRecord() {
@@ -209,30 +221,31 @@ std::optional<core::Record> RecordSubscriber::NextRecord() {
   size_t idle_polls = 0;
   for (;;) {
     if (options_.cancel && options_.cancel()) return std::nullopt;
-    const bool progress = PollOnce();
-    if (!status_.ok()) return std::nullopt;
-    // Emit loop: the smallest pending seq, once the watermark (or the
-    // close) proves no smaller seq can still arrive on a quiet topic.
+    // Emit loop, before any poll: the smallest head, once the watermark
+    // (or the close) proves no smaller seq can still arrive on a quiet
+    // topic. PollOnce reads the watermark before the record topics, so
+    // every record below the watermark is already fetched, and emitting
+    // without polling again keeps seq order.
     for (;;) {
       Topic* best = nullptr;
       for (auto& t : topics_) {
-        if (t.pending.empty()) continue;
-        if (!best || t.pending.front().seq < best->pending.front().seq)
-          best = &t;
+        if (!DecodeHead(t)) return std::nullopt;
+        if (t.has_head && (!best || t.head.seq < best->head.seq)) best = &t;
       }
       if (!best) break;
-      if (best->pending.front().seq >= watermark_seq_ && !closed_) break;
-      mq::PublishedRecord pr = std::move(best->pending.front());
-      best->pending.pop_front();
-      next_seq_ = pr.seq + 1;
-      if (!options_.filters.MatchesRecord(pr.record)) continue;
-      return std::move(pr.record);
+      if (best->head.seq >= watermark_seq_ && !closed_) break;
+      best->has_head = false;
+      next_seq_ = best->head.seq + 1;
+      if (options_.filters.MatchesRecord(best->head.record))
+        return std::move(best->head.record);
     }
     if (closed_) {
-      // The final watermark covers every published seq, so the emit
-      // loop above drains everything; nothing pending means the end.
+      // The poll that saw the close then fetched every topic, and the
+      // emit loop above drained what it fetched: this is the end.
       return std::nullopt;
     }
+    const bool progress = PollOnce();
+    if (!status_.ok()) return std::nullopt;
     if (progress) {
       idle_polls = 0;
       continue;

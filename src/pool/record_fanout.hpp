@@ -119,11 +119,10 @@ class RecordSubscriber {
     // Safety valve: end the stream (status stays OK) after this many
     // consecutive empty waits (0 = tail forever).
     size_t max_consecutive_polls = 0;
-    // Checked once per poll round: returning true ends the stream
-    // (status stays OK). Lets a server shut down a live tail.
+    // Checked once per NextRecord call and once per poll round:
+    // returning true ends the stream (status stays OK). Lets a server
+    // shut down a live tail.
     std::function<bool()> cancel;
-    // Per-poll fetch byte budget per topic (0 = unbounded).
-    size_t poll_max_bytes = 0;
   };
 
   explicit RecordSubscriber(Options options);
@@ -133,9 +132,12 @@ class RecordSubscriber {
   Status Start();
 
   // Next record passing the record-level filters, in publisher order.
-  // nullopt = end of stream (closed watermark drained, the poll limit,
-  // or an error — check status(), Truncated when retention overran this
-  // subscriber's cursor before it pinned/caught up).
+  // Emits what was already fetched before it polls the cluster again,
+  // and decodes one record per topic at a time. nullopt = end of stream
+  // (closed watermark drained, the poll limit, or an error — check
+  // status(): Truncated when retention overran this subscriber's cursor
+  // before it pinned/caught up, Corrupt or Unsupported for a malformed
+  // batch, after the records that precede the bad one).
   std::optional<core::Record> NextRecord();
 
   // Elems of `record` passing the elem-level filters (move-out of the
@@ -150,22 +152,31 @@ class RecordSubscriber {
   struct Topic {
     mq::Consumer consumer;
     mq::Cluster::Pin pin;
-    std::deque<mq::PublishedRecord> pending;
+    // Fetched batches not yet opened, oldest first: shared handles,
+    // neither decoded nor copied.
+    std::deque<mq::MessagePtr> fetched;
+    // The batch being read, and its next record once decoded.
+    mq::RecordBatchReader reader;
+    mq::PublishedRecord head;
+    bool has_head = false;
   };
 
   // Subscribes to any "records.*" topic not yet tracked (subject to the
   // collector filter). New topics join at their retained low-watermark.
   void DiscoverTopics();
-  // Drains ready batches/watermarks into the per-topic queues. Returns
-  // true if any progress was made (new records, watermark advance, or
+  // Queues ready batches per topic and reads the watermarks. Returns
+  // true if any progress was made (new batches, watermark advance, or
   // stream close).
   bool PollOnce();
+  // Decodes `t`'s next record at or past from_seq into its head unless
+  // it has one, opening its next fetched batch as the current one ends.
+  // Returns false, with status_ set, on a malformed batch.
+  bool DecodeHead(Topic& t);
 
   Options options_;
   Status status_;
   std::vector<Topic> topics_;
   std::optional<mq::Consumer> watermark_;
-  mq::RecordBatchMessage scratch_;  // capacity-reusing decode buffer
   uint64_t watermark_seq_ = 0;
   bool closed_ = false;
   uint64_t next_seq_ = 0;

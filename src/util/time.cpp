@@ -51,7 +51,8 @@ Result<size_t> ParseCountFlag(std::string_view flag, std::string_view token,
 }
 
 Result<double> ParseRealFlag(std::string_view flag, std::string_view token,
-                             bool allow_zero, std::string_view unit) {
+                             bool allow_zero, std::string_view unit,
+                             double max) {
   double v = 0;
   const char* end = token.data() + token.size();
   auto [ptr, ec] = std::from_chars(token.data(), end, v);
@@ -65,6 +66,7 @@ Result<double> ParseRealFlag(std::string_view flag, std::string_view token,
     if (!unit.empty()) msg += " " + std::string(unit);
     return InvalidArgument(msg);
   }
+  if (v > max) return InvalidArgument(std::string(flag) + " is out of range");
   return v;
 }
 

@@ -6,6 +6,7 @@
 // like MRT timestamps).
 #pragma once
 
+#include <cfloat>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -72,9 +73,12 @@ Result<size_t> ParseCountFlag(std::string_view flag, std::string_view token,
 // "2x" fail with "<flag> must be a finite number, got \"<token>\"". The
 // value must be > 0, or >= 0 with `allow_zero`; otherwise the error is
 // "<flag> must be > 0" (or ">= 0"), followed by " <unit>" when given.
+// A value above `max` (the largest the flag's use can take) fails with
+// "<flag> is out of range".
 Result<double> ParseRealFlag(std::string_view flag, std::string_view token,
                              bool allow_zero = false,
-                             std::string_view unit = {});
+                             std::string_view unit = {},
+                             double max = DBL_MAX);
 
 // Aligns `ts` down to a multiple of `bin` seconds.
 inline Timestamp AlignToBin(Timestamp ts, Timestamp bin) {

@@ -16,10 +16,12 @@
 #include <random>
 
 #include "bgp/attrs.hpp"
+#include "core/data_interface.hpp"
 #include "core/prefetch.hpp"
 #include "corsaro/rt.hpp"
 #include "mrt/encode.hpp"
 #include "mrt/file.hpp"
+#include "pool/record_fanout.hpp"
 
 namespace {
 
@@ -316,6 +318,58 @@ TEST(AllocRegressionTest, ChunkedStreamPathAllocatesBoundedPerRecord) {
   EXPECT_LT(per_record, 4.0)
       << allocs << " allocations for " << kRecords
       << " records end to end (" << per_record << " per record)";
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+// A fan-out subscriber emits what it has fetched before it polls again
+// and decodes one record at a time into a reused slot. Draining a
+// closed cluster therefore costs the elem buffer each returned record
+// carries away, plus a constant per poll. Polling on every call (a
+// watermark fetch and a topic-list copy per record) and decoding whole
+// batches into a queue cost 6 per record on this input.
+TEST(AllocRegressionTest, FanoutSubscriberDrainAllocatesOncePerRecord) {
+  namespace fs = std::filesystem;
+  fs::path dir = fs::temp_directory_path() /
+                 ("bgps_alloc_fanout_test_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  constexpr size_t kRecords = 2000;
+  std::string path = WriteUpdatesFile(dir, kRecords);
+
+  mq::Cluster cluster;
+  {
+    SingleFileInterface di(path, DumpType::Updates);
+    BgpStream stream;
+    stream.SetInterval(0, 4102444800);
+    stream.SetDataInterface(&di);
+    ASSERT_TRUE(stream.Start().ok());
+    pool::RecordPublisher::Options popt;
+    popt.cluster = &cluster;
+    pool::RecordPublisher publisher(popt);
+    auto stats = publisher.Run(stream);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_EQ(stats->records_published, kRecords);
+  }
+
+  pool::RecordSubscriber::Options sopt;
+  sopt.cluster = &cluster;
+  pool::RecordSubscriber sub(std::move(sopt));
+  ASSERT_TRUE(sub.Start().ok());
+  size_t before = AllocCount();
+  size_t drained = 0, elems = 0;
+  while (auto rec = sub.NextRecord()) {
+    elems += sub.Elems(*rec).size();
+    ++drained;
+  }
+  size_t allocs = AllocCount() - before;
+  ASSERT_TRUE(sub.status().ok()) << sub.status().ToString();
+  ASSERT_EQ(drained, kRecords);
+  EXPECT_EQ(elems, kRecords);  // one announced prefix per record
+  double per_record = double(allocs) / double(kRecords);
+  EXPECT_LT(per_record, 2.0)
+      << allocs << " allocations for " << kRecords << " records drained ("
+      << per_record << " per record)";
 
   std::error_code ec;
   fs::remove_all(dir, ec);

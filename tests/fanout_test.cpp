@@ -292,6 +292,79 @@ TEST(FanOut, StalledSubscriberBackpressuresPublisherBoundedly) {
   EXPECT_TRUE(governor->health().ok());
 }
 
+// A record topic holding one hand-encoded batch, then a closed
+// watermark covering every seq below `through`.
+void PublishByHand(mq::Cluster& cluster, Bytes batch, uint64_t through) {
+  mq::Message m;
+  m.value = std::move(batch);
+  cluster.Publish(mq::RecordTopic("rv2"), 0, std::move(m));
+  mq::Message wm;
+  wm.value = mq::EncodeRecordWatermark({through, /*closed=*/true});
+  cluster.Publish(mq::kRecordWatermarkTopic, 0, std::move(wm));
+}
+
+// `n` records with seqs 10.., one elem each.
+mq::RecordBatchMessage HandBatch(size_t n) {
+  mq::RecordBatchMessage batch;
+  batch.project = "routeviews";
+  batch.collector = "rv2";
+  for (size_t i = 0; i < n; ++i) {
+    mq::PublishedRecord pr;
+    pr.seq = 10 + i;
+    pr.record.timestamp = Timestamp(1458000000 + i);
+    core::Elem e;
+    e.peer_asn = 65001;
+    e.prefix = Prefix(IpAddress::V4(10, 0, uint8_t(i), 0), 24);
+    e.as_path = bgp::AsPath::Sequence({65001, 3356});
+    pr.record.prefetched_elems.emplace(1, e);
+    batch.records.push_back(std::move(pr));
+  }
+  return batch;
+}
+
+// Drains `cluster` with an unfiltered subscriber: the seqs it emitted,
+// in order, and the status it ended with.
+std::pair<std::vector<uint64_t>, Status> DrainSeqs(mq::Cluster& cluster) {
+  pool::RecordSubscriber::Options sopt;
+  sopt.cluster = &cluster;
+  sopt.max_consecutive_polls = 100;  // a backstop; the close ends it
+  pool::RecordSubscriber sub(sopt);
+  EXPECT_TRUE(sub.Start().ok());
+  std::vector<uint64_t> seqs;
+  while (auto rec = sub.NextRecord()) {
+    seqs.push_back(sub.next_seq() - 1);
+    EXPECT_EQ(sub.Elems(*rec).size(), 1u);
+  }
+  return {seqs, sub.status()};
+}
+
+// A batch malformed part way through yields the records before the bad
+// one, in seq order, then ends the stream with the decoder's status.
+TEST(FanOut, BatchCutInsideARecordYieldsTheRecordsBeforeIt) {
+  mq::RecordBatchMessage batch = HandBatch(5);
+  const Bytes full = mq::EncodeRecordBatch(batch);
+  batch.records.resize(2);
+  const auto two = ptrdiff_t(mq::EncodeRecordBatch(batch).size());
+  mq::Cluster cluster;
+  // Cut 5 bytes into the third record.
+  PublishByHand(cluster, Bytes(full.begin(), full.begin() + two + 5), 15);
+  auto [seqs, status] = DrainSeqs(cluster);
+  EXPECT_EQ(seqs, (std::vector<uint64_t>{10, 11}));
+  EXPECT_EQ(status.code(), StatusCode::Corrupt) << status.ToString();
+}
+
+// A batch whose header fails (here a future version) yields none of its
+// records.
+TEST(FanOut, UnsupportedBatchVersionYieldsNoRecord) {
+  Bytes wire = mq::EncodeRecordBatch(HandBatch(3));
+  wire[1] = 2;  // the version byte
+  mq::Cluster cluster;
+  PublishByHand(cluster, std::move(wire), 13);
+  auto [seqs, status] = DrainSeqs(cluster);
+  EXPECT_TRUE(seqs.empty());
+  EXPECT_EQ(status.code(), StatusCode::Unsupported) << status.ToString();
+}
+
 // --- TCP front end ---------------------------------------------------------
 
 int ConnectLoopback(uint16_t port) {

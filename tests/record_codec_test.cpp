@@ -173,6 +173,102 @@ TEST(RecordCodec, DecodeIntoReusesCapacity) {
   EXPECT_EQ(out.records[3].record.prefetched_elems->size(), 1u);
 }
 
+// Reads `wire` with a RecordBatchReader until it stops: the records it
+// yielded, and the status it stopped with.
+struct ReaderRun {
+  size_t records = 0;
+  Status status;
+};
+
+ReaderRun ReadAll(const Bytes& wire) {
+  ReaderRun run;
+  RecordBatchReader reader;
+  run.status = reader.Open(wire);
+  PublishedRecord pr;
+  while (run.status.ok()) {
+    auto more = reader.Next(pr);
+    if (!more.ok()) {
+      run.status = more.status();
+    } else if (!*more) {
+      break;
+    } else {
+      ++run.records;
+    }
+  }
+  return run;
+}
+
+RecordBatchMessage SyntheticBatch(std::mt19937& rng, size_t records) {
+  RecordBatchMessage msg;
+  msg.project = "routeviews";
+  msg.collector = "route-views.linx";
+  for (size_t i = 0; i < records; ++i) {
+    PublishedRecord pr;
+    pr.seq = 100 + i;
+    pr.record.timestamp = Timestamp(1458000000 + i);
+    pr.record.prefetched_elems.emplace();
+    for (size_t e = 0; e < i % 4; ++e)
+      pr.record.prefetched_elems->push_back(RandomElem(rng));
+    msg.records.push_back(std::move(pr));
+  }
+  return msg;
+}
+
+// A batch cut at any byte fails both decoders with Corrupt, and the
+// reader first yields exactly the records that lie wholly before the
+// cut.
+TEST(RecordCodec, TruncatedBatchYieldsTheRecordsBeforeTheCut) {
+  std::mt19937 rng(11);
+  RecordBatchMessage msg = SyntheticBatch(rng, 6);
+  const Bytes wire = EncodeRecordBatch(msg);
+  // ends[k] = size of the header plus the first k records.
+  std::vector<size_t> ends;
+  for (size_t k = 0; k <= msg.records.size(); ++k) {
+    RecordBatchMessage prefix = msg;
+    prefix.records.resize(k);
+    ends.push_back(EncodeRecordBatch(prefix).size());
+  }
+  ASSERT_EQ(ends.back(), wire.size());
+  RecordBatchMessage out;
+  for (size_t len = 0; len < wire.size(); ++len) {
+    const Bytes cut(wire.begin(), wire.begin() + ptrdiff_t(len));
+    ReaderRun run = ReadAll(cut);
+    EXPECT_EQ(run.status.code(), StatusCode::Corrupt) << "cut at " << len;
+    EXPECT_EQ(DecodeRecordBatchInto(cut, out).code(), StatusCode::Corrupt)
+        << "cut at " << len;
+    size_t whole = 0;
+    while (whole + 1 < ends.size() && ends[whole + 1] <= len) ++whole;
+    EXPECT_EQ(run.records, whole) << "cut at " << len;
+  }
+}
+
+// Seeded byte flips anywhere in a batch: the reader and
+// DecodeRecordBatchInto accept or reject exactly the same inputs, and
+// agree on the record count when they accept. Flips of a count field
+// must not size a buffer (run under ASan+UBSan in CI).
+TEST(RecordCodec, ByteFlipsFailBothDecodersAlike) {
+  std::mt19937 rng(20160331);
+  const Bytes wire = EncodeRecordBatch(SyntheticBatch(rng, 8));
+  RecordBatchMessage out;
+  size_t rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    Bytes flipped = wire;
+    const size_t flips = 1 + rng() % 3;
+    for (size_t f = 0; f < flips; ++f)
+      flipped[rng() % flipped.size()] ^= uint8_t(1 + rng() % 255);
+    ReaderRun run = ReadAll(flipped);
+    Status st = DecodeRecordBatchInto(flipped, out);
+    ASSERT_EQ(run.status.ok(), st.ok()) << "round " << round;
+    if (st.ok()) {
+      EXPECT_EQ(run.records, out.records.size()) << "round " << round;
+    } else {
+      EXPECT_EQ(run.status.code(), st.code()) << "round " << round;
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
 // Real records: a small generated corpus per ASN encoding, streamed
 // with full extraction and re-batched through the codec. The corpus
 // scenario mixes RIBs, updates, communities (rtbh windows) and session

@@ -274,6 +274,20 @@ TEST(Time, ParseRealFlag) {
   auto negative = ParseRealFlag("--flaps-per-hour", "-1", /*allow_zero=*/true);
   ASSERT_FALSE(negative.ok());
   EXPECT_EQ(negative.status().message(), "--flaps-per-hour must be >= 0");
+
+  // `max` is the largest value the flag's use can take.
+  auto day = ParseRealFlag("--pool-stats-interval", "86400",
+                           /*allow_zero=*/false, "seconds", 86400);
+  ASSERT_TRUE(day.ok());
+  EXPECT_EQ(*day, 86400.0);
+  for (const char* token : {"86400.5", "1e300"}) {
+    auto v = ParseRealFlag("--pool-stats-interval", token,
+                           /*allow_zero=*/false, "seconds", 86400);
+    ASSERT_FALSE(v.ok()) << token;
+    EXPECT_EQ(v.status().code(), StatusCode::InvalidArgument) << token;
+    EXPECT_EQ(v.status().message(), "--pool-stats-interval is out of range")
+        << token;
+  }
 }
 
 TEST(Strings, Split) {

@@ -35,7 +35,8 @@ source:
 replay:
   --format F      wire format: bmp (RFC 7854 frames) or exabgp
                   (v4 JSON lines) (default bmp)
-  --speedup N     virtual seconds per wall second (default 64)
+  --speedup N     virtual seconds per wall second (default 64, at
+                  most 1e6)
   --max-records N stop after N replayed messages (default 0 = all)
   --chunk-bytes N deliver BMP frames in N-byte chunks to exercise
                   partial-frame reassembly (default 0 = whole frames)
@@ -111,7 +112,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--speedup") {
       const char* v = need_value();
       if (!v) return fail("--speedup needs a factor");
-      Result<double> s = ParseRealFlag(arg, v);
+      // At most 1e6: AcceleratedClock converts wall microseconds x
+      // speedup to int64_t, which then holds for 106 days of wall time.
+      Result<double> s = ParseRealFlag(arg, v, /*allow_zero=*/false,
+                                       /*unit=*/{}, /*max=*/1e6);
       if (!s.ok()) return fail(s.status().message());
       speedup = *s;
     } else if (arg == "--max-records") {

@@ -62,8 +62,8 @@ performance (shared decode runtime; all but --pool-threads require it):
   --pool-budget N          global cap on records buffered in RAM by
                            chunked decode (default 4096)
   --pool-stats-interval S  dump a StreamPool stats snapshot to stderr
-                           every S seconds (fractions allowed) and once
-                           at the end
+                           every S seconds (fractions allowed, at most
+                           86400) and once at the end
   --pool-stats-json        emit stats snapshots as one JSON object per
                            line (machine-scrapable) instead of the
                            human-readable [pool] lines; also dumps a
@@ -222,8 +222,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--pool-stats-interval") {
       const char* v = need_value();
       if (!v) return fail("--pool-stats-interval needs seconds");
+      // At most a day: the stats thread's wait_for converts the
+      // interval to steady_clock's int64 nanoseconds, which a huge one
+      // overflows, and every wait then returns at once.
       Result<double> s = ParseRealFlag(arg, v, /*allow_zero=*/false,
-                                       "seconds");
+                                       "seconds", /*max=*/86400);
       if (!s.ok()) return fail(s.status().message());
       pool_stats_interval = *s;
     } else if (arg == "-m") {

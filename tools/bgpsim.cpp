@@ -36,7 +36,8 @@ scenario:
                   (default 1451606400 = 2016-01-01T00:00:00Z)
   --duration S    simulated seconds (default 7200)
   --flaps-per-hour N
-                  background churn rate across the table (default 2000)
+                  background churn rate across the table (default 2000,
+                  at most 1e6)
 
 scale:
   --rv N          RouteViews-style collectors: 2h RIBs, 15min updates
@@ -114,7 +115,12 @@ int main(int argc, char** argv) {
     } else if (arg == "--flaps-per-hour") {
       const char* v = need_value();
       if (!v) return fail("--flaps-per-hour needs a rate");
-      Result<double> r = ParseRealFlag(arg, v, /*allow_zero=*/true);
+      // At most 1e6 (a flap every 3.6 ms on average): the generator
+      // queues two events per flap up front, and far larger rates give
+      // gaps below the resolution of the double that accumulates event
+      // times, so it queues events without end.
+      Result<double> r = ParseRealFlag(arg, v, /*allow_zero=*/true,
+                                       /*unit=*/{}, /*max=*/1e6);
       if (!r.ok()) return fail(r.status().message());
       options.flaps_per_hour = *r;
     } else if (arg == "--rv") {
