@@ -30,9 +30,9 @@
 // own no decode work — a stream's consumer thread (a subset's floor
 // slots, one per file, taken only while the stream holds no undrained
 // buffers, so the capacity it waits for is releasable by other
-// tenants), a live source's session-reader thread (its park) and a
-// fan-out publisher thread. A paused consumer keeps the leases of what
-// it has buffered until it resumes or is destroyed.
+// tenants) and a live source's session-reader thread (its park). A
+// paused consumer keeps the leases of what it has buffered until it
+// resumes or is destroyed.
 #pragma once
 
 #include <condition_variable>

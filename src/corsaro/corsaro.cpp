@@ -3,7 +3,13 @@
 namespace bgps::corsaro {
 
 BgpCorsaro::BgpCorsaro(core::BgpStream* stream, Timestamp bin_size)
-    : stream_(stream), bin_size_(bin_size) {}
+    : stream_(stream), bin_size_(bin_size) {
+  // AlignToBin divides by the bin size, and a negative one never ends
+  // AdvanceBinsTo's loop.
+  if (bin_size < 1)
+    status_ = InvalidArgument("BgpCorsaro: bin size must be >= 1 second, got " +
+                              std::to_string(bin_size));
+}
 
 void BgpCorsaro::AddPlugin(std::unique_ptr<Plugin> plugin) {
   plugins_.push_back(std::move(plugin));
@@ -23,7 +29,7 @@ void BgpCorsaro::AdvanceBinsTo(Timestamp t) {
 }
 
 bool BgpCorsaro::Step(size_t max_records) {
-  if (finished_) return false;
+  if (finished_ || !status_.ok()) return false;
   size_t n = 0;
   while (max_records == 0 || n < max_records) {
     auto rec = stream_->NextRecord();

@@ -15,6 +15,7 @@ namespace bgps::corsaro {
 class BgpCorsaro {
  public:
   // `bin_size` in seconds; bins are aligned (start % bin_size == 0).
+  // A bin size below 1 is rejected through status().
   BgpCorsaro(core::BgpStream* stream, Timestamp bin_size);
 
   void AddPlugin(std::unique_ptr<Plugin> plugin);
@@ -23,9 +24,12 @@ class BgpCorsaro {
   size_t Run();
 
   // Incremental variant: processes up to `max_records` records (0 = all);
-  // returns false when the stream ended.
+  // returns false when the stream ended. While status() is not OK,
+  // consumes no record, calls no plugin and returns false.
   bool Step(size_t max_records);
 
+  // InvalidArgument when the bin size is below 1 second.
+  const Status& status() const { return status_; }
   Timestamp current_bin() const { return bin_start_; }
   size_t records_processed() const { return records_; }
 
@@ -38,6 +42,7 @@ class BgpCorsaro {
   std::vector<std::unique_ptr<Plugin>> plugins_;
   size_t records_ = 0;
   bool finished_ = false;
+  Status status_;
 };
 
 }  // namespace bgps::corsaro

@@ -4,16 +4,6 @@
 #include <limits>
 
 namespace bgps::mq {
-namespace {
-
-void RunEvictionHooks(std::vector<MessagePtr>& evicted) {
-  for (const auto& m : evicted) {
-    if (m->on_evict) m->on_evict();
-  }
-  evicted.clear();
-}
-
-}  // namespace
 
 uint64_t Cluster::Partition::MinPinLocked() const {
   uint64_t min_pin = std::numeric_limits<uint64_t>::max();
@@ -21,18 +11,22 @@ uint64_t Cluster::Partition::MinPinLocked() const {
   return min_pin;
 }
 
-void Cluster::Partition::EnforceRetentionLocked(
-    std::vector<MessagePtr>& evicted) {
-  if (retention.max_messages == 0 && retention.max_bytes == 0) return;
-  const uint64_t min_pin = MinPinLocked();
-  while (log.size() > 1 && first_offset < min_pin &&
+bool Cluster::Partition::OverBoundLocked() const {
+  return log.size() > 1 &&
          ((retention.max_messages != 0 && log.size() > retention.max_messages) ||
-          (retention.max_bytes != 0 && bytes > retention.max_bytes))) {
+          (retention.max_bytes != 0 && bytes > retention.max_bytes));
+}
+
+bool Cluster::Partition::EnforceRetentionLocked() {
+  if (retention.max_messages == 0 && retention.max_bytes == 0) return false;
+  const uint64_t first = first_offset;
+  const uint64_t min_pin = MinPinLocked();
+  while (first_offset < min_pin && OverBoundLocked()) {
     bytes -= log.front()->value.size();
-    evicted.push_back(std::move(log.front()));
     log.pop_front();
     ++first_offset;
   }
+  return first_offset != first;
 }
 
 Cluster::Topic& Cluster::GetOrCreateLocked(const std::string& topic,
@@ -61,19 +55,6 @@ Cluster::Partition* Cluster::Find(const std::string& topic,
   return it->second.parts[partition].get();
 }
 
-Cluster::~Cluster() {
-  // No consumers may be live at this point; fire the eviction hooks of
-  // everything still retained so publisher-side leases balance to zero.
-  std::vector<MessagePtr> evicted;
-  for (auto& [name, topic] : topics_) {
-    for (auto& part : topic.parts) {
-      for (auto& m : part->log) evicted.push_back(std::move(m));
-      part->log.clear();
-    }
-  }
-  RunEvictionHooks(evicted);
-}
-
 void Cluster::CreateTopic(const std::string& topic, size_t partitions) {
   CreateTopic(topic, partitions, default_retention_);
 }
@@ -92,17 +73,14 @@ uint64_t Cluster::Publish(const std::string& topic, size_t partition,
     Topic& t = GetOrCreateLocked(topic, 1, default_retention_);
     p = t.parts.at(partition).get();
   }
-  std::vector<MessagePtr> evicted;
-  uint64_t offset;
-  {
-    std::lock_guard lock(p->mu);
-    offset = p->next_offset++;
-    message.offset = offset;
-    p->bytes += message.value.size();
-    p->log.push_back(std::make_shared<const Message>(std::move(message)));
-    p->EnforceRetentionLocked(evicted);
-  }
-  RunEvictionHooks(evicted);
+  std::unique_lock lock(p->mu);
+  // Enforcement has already run, so an over-bound log is held by a pin.
+  p->truncated.wait(lock, [p] { return !p->OverBoundLocked(); });
+  const uint64_t offset = p->next_offset++;
+  message.offset = offset;
+  p->bytes += message.value.size();
+  p->log.push_back(std::make_shared<const Message>(std::move(message)));
+  p->EnforceRetentionLocked();
   return offset;
 }
 
@@ -198,32 +176,28 @@ Cluster::Pin& Cluster::Pin::operator=(Pin&& o) noexcept {
 
 void Cluster::Pin::Advance(uint64_t offset) {
   if (part_ == nullptr) return;
-  std::vector<MessagePtr> evicted;
-  {
-    std::lock_guard lock(part_->mu);
-    for (auto& p : part_->pins) {
-      if (p.id == id_) {
-        p.offset = std::max(p.offset, offset);
-        break;
-      }
+  std::lock_guard lock(part_->mu);
+  for (auto& p : part_->pins) {
+    if (p.id == id_) {
+      p.offset = std::max(p.offset, offset);
+      break;
     }
-    part_->EnforceRetentionLocked(evicted);
   }
-  RunEvictionHooks(evicted);
+  // Only a bounded partition truncates, so an unbounded one (the
+  // per-poll path of an unbounded fan-out) never notifies.
+  if (part_->EnforceRetentionLocked()) part_->truncated.notify_all();
 }
 
 void Cluster::Pin::Release() {
   if (part_ == nullptr) return;
-  std::vector<MessagePtr> evicted;
   {
     std::lock_guard lock(part_->mu);
     auto& pins = part_->pins;
     pins.erase(std::remove_if(pins.begin(), pins.end(),
                               [this](const PinEntry& p) { return p.id == id_; }),
                pins.end());
-    part_->EnforceRetentionLocked(evicted);
+    if (part_->EnforceRetentionLocked()) part_->truncated.notify_all();
   }
-  RunEvictionHooks(evicted);
   part_ = nullptr;
   id_ = 0;
 }

@@ -22,14 +22,15 @@
 //    explicit Truncated status instead of silently returning nothing.
 //  * Retention pins. A consumer that must be able to replay (a fan-out
 //    subscriber) pins its cursor: truncation never advances past the
-//    smallest pinned offset, so a pinned-but-slow consumer converts
-//    retention pressure into publisher backpressure (via the eviction
-//    hook + MemoryGovernor wiring in pool/record_fanout) instead of
-//    data loss.
+//    smallest pinned offset. A publish into a bounded partition that a
+//    pin holds over its bound waits until the pin advances or is
+//    released, so a pinned-but-slow consumer converts retention
+//    pressure into publisher backpressure instead of data loss, and
+//    the partition's retention is the only bound on its memory.
 #pragma once
 
+#include <condition_variable>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -47,11 +48,6 @@ struct Message {
   Bytes value;
   Timestamp timestamp = 0;
   uint64_t offset = 0;  // assigned by the partition on append
-  // Invoked exactly once when the message leaves retention (truncation
-  // or cluster destruction), with no cluster/partition lock held. The
-  // record-plane publisher uses this to return its MemoryGovernor lease
-  // for the batch; most producers leave it empty.
-  std::function<void()> on_evict;
 };
 
 // Shared immutable handle to an appended message. The log and every
@@ -61,7 +57,8 @@ using MessagePtr = std::shared_ptr<const Message>;
 // Per-partition retention high-watermarks. 0 = unbounded (the default:
 // RT-plugin topics and the existing consumers keep full history).
 // Truncation always keeps at least the newest message and never passes
-// a retention pin.
+// a retention pin; a pinned partition exceeds its bound by at most one
+// message (see Cluster::Publish).
 struct RetentionOptions {
   size_t max_messages = 0;
   size_t max_bytes = 0;  // sum of Message::value sizes
@@ -76,8 +73,6 @@ class Cluster {
       : default_retention_(default_retention) {}
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
-  // Fires every retained message's eviction hook.
-  ~Cluster();
 
   // Creates the topic if needed. Partition counts and retention are
   // fixed at first use.
@@ -87,7 +82,13 @@ class Cluster {
 
   // Appends and returns the assigned offset. Auto-creates 1-partition
   // topics (like Kafka's auto.create.topics). May truncate the front of
-  // the partition to enforce its retention watermarks.
+  // the partition to enforce its retention watermarks. If a pin holds
+  // the partition over its bound, first waits until a pin advances or
+  // is released, so a pinned partition exceeds its bound by at most one
+  // message. Unbounded and unpinned partitions never wait, and neither
+  // does a message too large for max_bytes on its own. A thread holding
+  // a pin on a bounded topic must therefore not publish into that
+  // topic: it would wait on itself.
   uint64_t Publish(const std::string& topic, size_t partition,
                    Message message);
 
@@ -122,8 +123,9 @@ class Cluster {
  public:
   // Retention pin handle: while live, truncation of its partition never
   // advances past the pinned offset. Movable, auto-releasing; must not
-  // outlive the Cluster. Advancing (monotonic) may trigger the
-  // truncation the pin was holding back.
+  // outlive the Cluster. Advancing (monotonic) or releasing may trigger
+  // the truncation the pin was holding back, which wakes the publishes
+  // waiting on it.
   class Pin {
    public:
     Pin() = default;
@@ -161,11 +163,17 @@ class Cluster {
     RetentionOptions retention;
     std::vector<PinEntry> pins;
     uint64_t next_pin_id = 1;
+    // Wakes the publishes parked while a pin holds the log over its
+    // bound.
+    std::condition_variable truncated;
 
+    // More than one message and over either watermark. Once retention
+    // is enforced, only a pin can leave the partition in this state.
+    bool OverBoundLocked() const;
     // Pops front messages until the watermarks hold (respecting pins,
-    // always keeping the newest message); the evicted messages are
-    // moved into `evicted` so their hooks run with `mu` released.
-    void EnforceRetentionLocked(std::vector<MessagePtr>& evicted);
+    // always keeping the newest message). Returns whether it dropped
+    // any.
+    bool EnforceRetentionLocked();
     uint64_t MinPinLocked() const;
   };
   struct Topic {

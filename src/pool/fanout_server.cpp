@@ -82,10 +82,12 @@ void FanoutServer::AcceptLoop() {
 
 void FanoutServer::ServeConnection(int fd) {
   ++connections_served_;
-  // Bounded recv so a silent client cannot outlive Stop().
+  // Bounded recv and send, so neither a silent client nor one that
+  // stops reading can outlive Stop(): a timed-out call re-checks stop_.
   timeval tv{};
   tv.tv_usec = 200 * 1000;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 
   auto send_all = [&](const std::string& data) -> bool {
     size_t off = 0;

@@ -9,32 +9,23 @@ namespace bgps::pool {
 
 // --- RecordPublisher -------------------------------------------------------
 
-Status RecordPublisher::FlushBatch(mq::RecordBatchMessage& batch) {
-  if (batch.records.empty()) return OkStatus();
-  const size_t n = batch.records.size();
+void RecordPublisher::FlushBatch(mq::RecordBatchMessage& batch) {
+  if (batch.records.empty()) return;
   mq::Message m;
   m.key = batch.collector;
   m.timestamp = batch.records.back().record.timestamp;
   m.value = mq::EncodeRecordBatch(batch);
-  if (options_.governor) {
-    // One slot per record, blocking (FIFO-fair): a full ledger means
-    // retention is pinned by a lagging subscriber, and publication must
-    // wait for it, not outgrow the budget. Released by the message's
-    // eviction hook (truncation or cluster teardown).
-    BGPS_RETURN_IF_ERROR(options_.governor->Acquire(n));
-    m.on_evict = [gov = options_.governor, n] { gov->Release(n); };
-  }
+  // Waits while a lagging subscriber pins a bounded topic at its bound.
   options_.cluster->Publish(mq::RecordTopic(batch.collector), 0, std::move(m));
-  stats_.records_published += n;
+  stats_.records_published += batch.records.size();
   ++stats_.batches_published;
   batch.records.clear();
-  return OkStatus();
 }
 
-Status RecordPublisher::FlushAll(bool closed) {
+void RecordPublisher::FlushAll(bool closed) {
   // Every open batch flushes before the watermark does — that ordering
   // is what makes `published_through = next_seq_` true when it lands.
-  for (auto& batch : open_) BGPS_RETURN_IF_ERROR(FlushBatch(batch));
+  for (auto& batch : open_) FlushBatch(batch);
   mq::RecordWatermarkMessage wm;
   wm.published_through = next_seq_;
   wm.closed = closed;
@@ -42,7 +33,6 @@ Status RecordPublisher::FlushAll(bool closed) {
   m.value = mq::EncodeRecordWatermark(wm);
   options_.cluster->Publish(mq::kRecordWatermarkTopic, 0, std::move(m));
   ++stats_.watermarks_published;
-  return OkStatus();
 }
 
 Result<RecordPublisher::Stats> RecordPublisher::Run(core::BgpStream& stream) {
@@ -82,24 +72,10 @@ Result<RecordPublisher::Stats> RecordPublisher::Run(core::BgpStream& stream) {
     stats_.elems_published += rec->prefetched_elems->size();
     pr.record = std::move(*rec);
     batch->records.push_back(std::move(pr));
-    if (batch->records.size() >= flush_at) {
-      BGPS_RETURN_IF_ERROR(FlushAll(false));
-    }
+    if (batch->records.size() >= flush_at) FlushAll(false);
   }
-  Status run_status = stream.status();
-  Status flush_status = FlushAll(true);
-  if (!flush_status.ok()) {
-    // The close must reach subscribers even when the final flush could
-    // not (poisoned governor): publish a bare closed watermark — they
-    // are never leased — so every tail terminates.
-    mq::Message m;
-    m.value = mq::EncodeRecordWatermark(
-        mq::RecordWatermarkMessage{next_seq_, true});
-    options_.cluster->Publish(mq::kRecordWatermarkTopic, 0, std::move(m));
-    ++stats_.watermarks_published;
-    return flush_status;
-  }
-  if (!run_status.ok()) return run_status;
+  FlushAll(true);
+  if (!stream.status().ok()) return stream.status();
   return stats_;
 }
 
@@ -168,12 +144,12 @@ bool RecordSubscriber::PollOnce() {
   }
   DiscoverTopics();
   // Every topic is polled every round — even one whose head is still
-  // above the watermark. Skipping it would park its pin, which holds
-  // the publisher's governor leases, which blocks the very flush whose
-  // watermark would make that head emittable: deadlock. Polling
-  // unconditionally keeps pins current; the fetched handles stay
-  // bounded because the log itself is bounded (retention high-watermark
-  // or the publisher's governor budget).
+  // above the watermark. Skipping it would leave its pin behind, which
+  // (under bounded retention) parks the publish into that topic, which
+  // blocks the very flush whose watermark would make that head
+  // emittable: deadlock. Polling unconditionally keeps pins current;
+  // a poll fetches at most what the log holds past the pin, which under
+  // bounded retention is the retention plus one batch.
   for (auto& t : topics_) {
     auto msgs = t.consumer.Poll();
     if (!msgs.ok()) {
@@ -188,8 +164,7 @@ bool RecordSubscriber::PollOnce() {
       progress = true;
     }
     // Everything below the cursor is now held in `fetched`; let
-    // retention have it (which fires evictions, which releases the
-    // publisher's governor leases).
+    // retention have it (which wakes a publish parked on this pin).
     t.pin.Advance(t.consumer.position());
   }
   return progress;

@@ -28,13 +28,12 @@
 // live tail). The watermark is published on every flush — and all open
 // batches flush together, which is what makes it valid.
 //
-// Backpressure: with a MemoryGovernor, the publisher leases one slot
-// per record before publishing a batch and hands the release to the
-// message's eviction hook. Subscribers hold retention pins at their
-// cursor; a stalled subscriber therefore stops truncation, which stops
-// eviction, which stops releases, which blocks the publisher — cluster
-// bytes stay bounded by retention and publication resumes, losslessly,
-// when the subscriber catches up.
+// Backpressure: subscribers hold retention pins at their cursor. With
+// bounded topic retention, a stalled subscriber stops truncation, and
+// the cluster parks the publisher's next publish into that topic until
+// the pin moves — each topic holds at most its retention plus one
+// batch, and publication resumes, losslessly, when the subscriber
+// catches up or goes away.
 #pragma once
 
 #include <deque>
@@ -52,15 +51,6 @@ class RecordPublisher {
     // Required. Topics are auto-created with the cluster's default
     // retention; pre-create them for per-topic retention.
     mq::Cluster* cluster = nullptr;
-    // Optional backpressure ledger: one slot leased per published
-    // record, released when the message is evicted from retention (or
-    // at cluster teardown). Sizing rule: retained messages hold their
-    // leases for as long as retention keeps them, so the capacity must
-    // exceed the steady-state retention floor (per-topic max_messages x
-    // batch_records, summed over collectors) plus one in-flight batch —
-    // otherwise the publisher wedges on a budget that can never free
-    // up. Batches larger than the capacity can never be granted at all.
-    std::shared_ptr<core::MemoryGovernor> governor;
     // Per-collector batch flush threshold, in records.
     size_t batch_records = 64;
     // Retention for the per-collector record topics (the high-watermark
@@ -86,13 +76,14 @@ class RecordPublisher {
   // published elems are the record's full extraction, and it is the
   // subscribers that filter. Publishes a closed watermark on success
   // AND on error (subscribers must terminate either way); surfaces the
-  // stream's abnormal status, a governor failure, or both.
+  // stream's abnormal status. Blocks while a pinned subscriber holds a
+  // bounded record topic past its retention.
   Result<Stats> Run(core::BgpStream& stream);
 
  private:
   // Flushes every open batch, then the watermark covering them.
-  Status FlushAll(bool closed);
-  Status FlushBatch(mq::RecordBatchMessage& batch);
+  void FlushAll(bool closed);
+  void FlushBatch(mq::RecordBatchMessage& batch);
 
   Options options_;
   Stats stats_;

@@ -70,9 +70,7 @@ void CollectorSim::BufferUpdate(Timestamp t, const VpSpec& vp,
     if (prefix.family() == IpFamily::V4) {
       msg.update.withdrawn.push_back(prefix);
     } else {
-      bgp::MpUnreach mp;
-      mp.withdrawn.push_back(prefix);
-      msg.update.attrs.mp_unreach = std::move(mp);
+      msg.update.attrs.mp_unreach.emplace().withdrawn.push_back(prefix);
     }
   } else {
     // Announcement: the VP prepends itself when exporting to the collector.
@@ -87,10 +85,9 @@ void CollectorSim::BufferUpdate(Timestamp t, const VpSpec& vp,
       msg.update.attrs.next_hop = vp.address;
       msg.update.announced.push_back(prefix);
     } else {
-      bgp::MpReach mp;
+      bgp::MpReach& mp = msg.update.attrs.mp_reach.emplace();
       mp.next_hop = VpAddressV6For(vp.asn);
       mp.nlri.push_back(prefix);
-      msg.update.attrs.mp_reach = std::move(mp);
     }
   }
   pending_.push_back({t, mrt::EncodeBgp4mpUpdate(t, msg, config_.asn_encoding)});

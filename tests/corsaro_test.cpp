@@ -143,6 +143,31 @@ TEST_F(CorsaroTest, BinsAreAlignedAndContiguous) {
   EXPECT_EQ(cp->bin_starts.size(), cp->bin_ends.size());
 }
 
+// A bin size of 0 would divide by zero in AlignToBin and a negative one
+// would never leave AdvanceBinsTo's loop, so the engine refuses both.
+TEST_F(CorsaroTest, NonPositiveBinSizeIsRejectedWithoutRunning) {
+  auto stream = MakeStream();
+  for (Timestamp bin : {Timestamp(0), Timestamp(-900)}) {
+    BgpCorsaro engine(stream.get(), bin);
+    auto counting = std::make_unique<CountingPlugin>();
+    CountingPlugin* cp = counting.get();
+    engine.AddPlugin(std::move(counting));
+    EXPECT_EQ(engine.status().code(), StatusCode::InvalidArgument);
+    EXPECT_EQ(engine.status().message(),
+              "BgpCorsaro: bin size must be >= 1 second, got " +
+                  std::to_string(bin));
+    EXPECT_FALSE(engine.Step(10));
+    EXPECT_EQ(engine.Run(), 0u);
+    EXPECT_EQ(engine.records_processed(), 0u);
+    EXPECT_EQ(cp->records, 0u);
+    EXPECT_TRUE(cp->bin_starts.empty());
+    EXPECT_TRUE(cp->bin_ends.empty());
+    EXPECT_FALSE(cp->finished);
+  }
+  // Neither engine read the stream: its first record is still there.
+  EXPECT_TRUE(stream->NextRecord().has_value());
+}
+
 TEST_F(CorsaroTest, PipelineTagsFlowDownstream) {
   auto stream = MakeStream();
   BgpCorsaro engine(stream.get(), 300);

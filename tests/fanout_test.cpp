@@ -4,10 +4,10 @@
 // with distinct filters each replay a stream whose record+elem
 // fingerprint is byte-identical to a direct BgpStream run with the
 // same filters — plus the decode-count pin (file opens happen once,
-// not once per subscriber), governor backpressure (a stalled pinned
-// subscriber blocks publication with bounded cluster bytes, then
-// resumes losslessly), and the TCP front end streaming the same
-// fingerprint over a real socket.
+// not once per subscriber), retention backpressure (a stalled pinned
+// subscriber parks publication with each topic at most one batch over
+// its retention, then resumes losslessly), and the TCP front end
+// streaming the same fingerprint over a real socket.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,6 +15,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -107,7 +108,6 @@ RunFp DirectRun(const core::FilterSet& filters, size_t* file_opens = nullptr) {
 // extraction) into `cluster`, counting dump-file opens.
 Result<pool::RecordPublisher::Stats> PublishArchive(
     mq::Cluster* cluster, size_t* file_opens = nullptr,
-    std::shared_ptr<core::MemoryGovernor> governor = nullptr,
     std::optional<mq::RetentionOptions> topic_retention = std::nullopt,
     size_t batch_records = 64) {
   const auto& arch = testutil::GetSmallArchive();
@@ -124,7 +124,6 @@ Result<pool::RecordPublisher::Stats> PublishArchive(
   BGPS_RETURN_IF_ERROR(stream.Start());
   pool::RecordPublisher::Options popt;
   popt.cluster = cluster;
-  popt.governor = std::move(governor);
   popt.batch_records = batch_records;
   popt.topic_retention = topic_retention;
   pool::RecordPublisher publisher(popt);
@@ -215,81 +214,75 @@ TEST(FanOut, FromSeqReplaysSuffix) {
   EXPECT_EQ(sub.next_seq(), total);
 }
 
-// The satellite regression: publisher batches lease governor slots, so
-// a stalled subscriber (pinned at offset 0, never polling) blocks
-// publication with cluster bytes bounded by the governor budget; when
-// the subscriber resumes, publication completes and the replay is
-// still identical. Also proves the lease ledger balances: destroying
-// the cluster returns every slot.
+// Bounded retention is the only bound on the log: a stalled subscriber
+// (pinned at offset 0, never polling) parks the publisher once a record
+// topic holds max_messages + 1 batches; when the subscriber resumes,
+// publication completes and the replay is still identical.
 TEST(FanOut, StalledSubscriberBackpressuresPublisherBoundedly) {
   const auto& arch = testutil::GetSmallArchive();
-  // Sizing: retention keeps up to max_messages batches per topic even
-  // after every subscriber moves on, and those messages hold leases
-  // until evicted — so the budget must exceed that steady-state floor
-  // (2 msgs x 32 records x 2 topics = 128) plus one in-flight batch,
-  // or the publisher wedges on a budget that can never free up.
-  constexpr size_t kBudget = 256;  // records; far below the archive total
   constexpr size_t kBatch = 32;
-  auto governor = std::make_shared<core::MemoryGovernor>(kBudget);
-  auto cluster = std::make_unique<mq::Cluster>();
   const mq::RetentionOptions tight{/*max_messages=*/2, /*max_bytes=*/0};
+  mq::Cluster cluster;
 
   // Pre-create the record topics so the subscriber can pin offset 0
   // before the publisher produces anything.
-  std::vector<std::string> names;
+  std::vector<std::string> topics;
   for (const auto& c : arch.driver->collectors()) {
-    names.push_back(c.config().name);
-    cluster->CreateTopic(mq::RecordTopic(c.config().name), 1, tight);
+    topics.push_back(mq::RecordTopic(c.config().name));
+    cluster.CreateTopic(topics.back(), 1, tight);
   }
+  auto published = [&] {
+    uint64_t n = 0;
+    for (const auto& t : topics) n += cluster.EndOffset(t, 0);
+    return n;
+  };
+  auto most_held = [&] {
+    uint64_t held = 0;
+    for (const auto& t : topics)
+      held = std::max(held, cluster.EndOffset(t, 0) - cluster.FirstOffset(t, 0));
+    return held;
+  };
 
   RunFp got;
   std::atomic<bool> done{false};
   Result<pool::RecordPublisher::Stats> stats{pool::RecordPublisher::Stats{}};
   {
     pool::RecordSubscriber::Options sopt;
-    sopt.cluster = cluster.get();
+    sopt.cluster = &cluster;
     sopt.filters = BaseFilters();
     pool::RecordSubscriber sub(sopt);
     ASSERT_TRUE(sub.Start().ok());  // pins installed, then we stall
 
     std::thread publisher([&] {
-      stats = PublishArchive(cluster.get(), nullptr, governor, tight, kBatch);
+      stats = PublishArchive(&cluster, nullptr, tight, kBatch);
       done.store(true);
     });
 
-    // The publisher must wedge against the budget: every lease is held
-    // by retained-but-pinned messages, so in_use converges to within
-    // one batch of capacity and publication stops.
-    while (!done.load() && governor->in_use() + kBatch * names.size() <=
-                               kBudget) {
+    // The publisher parks once a pinned topic is one batch past its
+    // retention, and stays parked while the subscriber stalls.
+    while (!done.load() && most_held() <= tight.max_messages)
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
     ASSERT_FALSE(done.load())
         << "publisher finished despite a stalled pinned subscriber";
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const uint64_t parked_at = published();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
     ASSERT_FALSE(done.load());
-    EXPECT_LE(governor->in_use(), kBudget);
-    size_t retained = 0;
-    for (const auto& n : names)
-      retained += cluster->RetainedBytes(mq::RecordTopic(n), 0);
-    EXPECT_GT(retained, 0u);
+    EXPECT_EQ(published(), parked_at);
+    for (const auto& t : topics) {
+      EXPECT_EQ(cluster.FirstOffset(t, 0), 0u) << t;
+      EXPECT_LE(cluster.EndOffset(t, 0), tight.max_messages + 1) << t;
+    }
 
-    // Resume: draining advances the pins, truncation evicts, evictions
-    // release leases, the publisher unblocks — losslessly.
+    // Resume: draining advances the pins, truncation wakes the parked
+    // publish, and publication completes losslessly.
     got = Drain(sub);
     publisher.join();
     ASSERT_TRUE(sub.status().ok()) << sub.status().ToString();
     ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    EXPECT_LE(governor->max_in_use(), kBudget);
+    EXPECT_GT(stats->batches_published, parked_at);
   }
 
   ExpectRunsEqual(got, DirectRun(BaseFilters()), "resumed replay");
-
-  // Every lease is owed to a retained message's eviction hook; cluster
-  // teardown fires them all, balancing the ledger exactly.
-  cluster.reset();
-  EXPECT_EQ(governor->in_use(), 0u);
-  EXPECT_TRUE(governor->health().ok());
 }
 
 // A record topic holding one hand-encoded batch, then a closed
@@ -367,9 +360,12 @@ TEST(FanOut, UnsupportedBatchVersionYieldsNoRecord) {
 
 // --- TCP front end ---------------------------------------------------------
 
-int ConnectLoopback(uint16_t port) {
+// `rcvbuf` > 0 shrinks the client's receive buffer before connecting.
+int ConnectLoopback(uint16_t port, int rcvbuf = 0) {
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
+  if (rcvbuf > 0)
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -460,6 +456,60 @@ TEST(FanOut, TcpServerStreamsIdenticalTranscript) {
   EXPECT_EQ(ParseTranscript(transcript, got), "END ok");
   ExpectRunsEqual(got, DirectRun(fs), "tcp transcript");
   EXPECT_FALSE(got.records.empty());
+  EXPECT_EQ(server.connections_served(), 1u);
+}
+
+// A client that sends GO and then never reads leaves its connection
+// thread in send() once the loopback buffers are full; Stop() must
+// still return promptly instead of joining that thread forever.
+TEST(FanOut, TcpServerStopsWhileAClientIsNotReading) {
+  // About 8 MB of transcript (60k ELEM lines of ~135 bytes), well past
+  // the ~3 MB the loopback buffers queue against a 4 KiB receive buffer.
+  constexpr size_t kBatches = 10, kRecords = 100, kElems = 60;
+  std::vector<bgp::Asn> hops;
+  for (bgp::Asn asn = 65001; asn < 65017; ++asn) hops.push_back(asn);
+  mq::Cluster cluster;
+  uint64_t seq = 0;
+  for (size_t b = 0; b < kBatches; ++b) {
+    mq::RecordBatchMessage batch;
+    batch.project = "routeviews";
+    batch.collector = "rv2";
+    for (size_t r = 0; r < kRecords; ++r) {
+      mq::PublishedRecord pr;
+      pr.seq = seq++;
+      pr.record.timestamp = Timestamp(1458000000 + pr.seq);
+      core::Elem e;
+      e.peer_asn = 65001;
+      e.prefix = Prefix(IpAddress::V4(10, 0, 0, 0), 24);
+      e.as_path = bgp::AsPath::Sequence(hops);
+      pr.record.prefetched_elems.emplace(kElems, e);
+      batch.records.push_back(std::move(pr));
+    }
+    mq::Message m;
+    m.value = mq::EncodeRecordBatch(batch);
+    cluster.Publish(mq::RecordTopic("rv2"), 0, std::move(m));
+  }
+  mq::Message wm;
+  wm.value = mq::EncodeRecordWatermark({seq, /*closed=*/true});
+  cluster.Publish(mq::kRecordWatermarkTopic, 0, std::move(wm));
+
+  pool::FanoutServer::Options fopt;
+  fopt.cluster = &cluster;
+  pool::FanoutServer server(fopt);
+  ASSERT_TRUE(server.Start().ok());
+  int fd = ConnectLoopback(server.port(), /*rcvbuf=*/4096);
+  const std::string go = "GO\n";
+  ASSERT_EQ(::send(fd, go.data(), go.size(), 0), ssize_t(go.size()));
+  // Give the server time to fill the buffers and block in send().
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server.Stop();
+  const auto stop_s = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  ::close(fd);
+  EXPECT_LT(stop_s, 1.0);
   EXPECT_EQ(server.connections_served(), 1u);
 }
 

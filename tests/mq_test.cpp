@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <functional>
 #include <thread>
 
 #include "analysis/graph.hpp"
@@ -161,6 +163,21 @@ TEST(Cluster, ConsumerPollHonorsByteBudgetAndTruncation) {
   EXPECT_TRUE(c.Poll(0, 2)->empty());
 }
 
+// Polls `cond` for up to 5 s.
+bool Eventually(const std::function<bool()>& cond) {
+  for (int i = 0; i < 2500 && !cond(); ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  return cond();
+}
+
+// Waits for the partition's end offset to reach `end`, then checks that
+// it stays there: the publisher is parked on the pin.
+void ExpectParkedAt(const Cluster& cluster, uint64_t end) {
+  ASSERT_TRUE(Eventually([&] { return cluster.EndOffset("t", 0) >= end; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(cluster.EndOffset("t", 0), end);
+}
+
 TEST(Cluster, PinsBlockTruncationUntilReleased) {
   RetentionOptions keep2;
   keep2.max_messages = 2;
@@ -169,35 +186,49 @@ TEST(Cluster, PinsBlockTruncationUntilReleased) {
   cluster.Publish("t", 0, Msg({0}));
   auto pin = cluster.CreatePin("t", 0, 0);
   ASSERT_TRUE(pin);
-  for (uint8_t i = 1; i < 6; ++i) cluster.Publish("t", 0, Msg({i}));
-  // The pin holds the low-watermark at 0 despite max_messages = 2.
+  // On the pin's own thread these publishes would wait on themselves.
+  std::thread publisher([&cluster] {
+    for (uint8_t i = 1; i < 6; ++i) cluster.Publish("t", 0, Msg({i}));
+  });
+  // The pin holds the low-watermark at 0: the log holds one message
+  // past max_messages = 2, and the next publish parks.
+  ExpectParkedAt(cluster, 3);
   EXPECT_EQ(cluster.FirstOffset("t", 0), 0u);
-  EXPECT_EQ(cluster.Fetch("t", 0, 0)->size(), 6u);
-  // Advancing the pin releases the prefix below it.
-  pin.Advance(4);
-  EXPECT_EQ(cluster.FirstOffset("t", 0), 4u);
-  // Releasing entirely lets retention catch up to its configured bound.
+  EXPECT_EQ(cluster.Fetch("t", 0, 0)->size(), 3u);
+  // Advancing the pin releases the prefix below it and resumes the
+  // publisher until the pin holds the bound again.
+  pin.Advance(2);
+  ExpectParkedAt(cluster, 5);
+  EXPECT_EQ(cluster.FirstOffset("t", 0), 2u);
+  // Releasing entirely lets the last publish in and retention catch up
+  // to its configured bound.
   pin.Release();
+  publisher.join();
+  EXPECT_EQ(cluster.EndOffset("t", 0), 6u);
   EXPECT_EQ(cluster.FirstOffset("t", 0), 4u);
   EXPECT_TRUE(IsTruncated(cluster.Fetch("t", 0, 0).status()));
 }
 
-TEST(Cluster, EvictionHooksFireOnTruncationAndDestruction) {
-  int evicted = 0;
-  {
-    RetentionOptions keep1;
-    keep1.max_messages = 1;
-    Cluster cluster;
-    cluster.CreateTopic("t", 1, keep1);
-    for (int i = 0; i < 3; ++i) {
-      Message m;
-      m.value = {uint8_t(i)};
-      m.on_evict = [&evicted] { ++evicted; };
-      cluster.Publish("t", 0, std::move(m));
-    }
-    EXPECT_EQ(evicted, 2);  // two truncated, one retained
-  }
-  EXPECT_EQ(evicted, 3);  // cluster teardown releases the survivor
+// Only a pin on a bounded partition parks a publish. These all run on
+// the test thread, so a wait would hang the test.
+TEST(Cluster, UnboundedAndUnpinnedPartitionsNeverWait) {
+  Cluster cluster;
+  auto open_pin = cluster.CreatePin("open", 0, 0);
+  for (uint8_t i = 0; i < 100; ++i) cluster.Publish("open", 0, Msg({i}));
+  EXPECT_EQ(cluster.FirstOffset("open", 0), 0u);
+  EXPECT_EQ(cluster.EndOffset("open", 0), 100u);
+
+  cluster.CreateTopic("bounded", 1, RetentionOptions{/*max_messages=*/2, 0});
+  for (uint8_t i = 0; i < 100; ++i) cluster.Publish("bounded", 0, Msg({i}));
+  EXPECT_EQ(cluster.FirstOffset("bounded", 0), 98u);
+
+  // A pinned partition over max_bytes with one message takes the next.
+  cluster.CreateTopic("tiny", 1, RetentionOptions{0, /*max_bytes=*/4});
+  auto tiny_pin = cluster.CreatePin("tiny", 0, 0);
+  cluster.Publish("tiny", 0, Msg({1, 2, 3, 4, 5, 6}));
+  cluster.Publish("tiny", 0, Msg({7, 8, 9, 10, 11, 12}));
+  EXPECT_EQ(cluster.EndOffset("tiny", 0), 2u);
+  EXPECT_EQ(cluster.FirstOffset("tiny", 0), 0u);
 }
 
 corsaro::DiffCell MakeDiff(const std::string& collector, bgp::Asn peer,

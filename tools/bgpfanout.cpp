@@ -43,14 +43,11 @@ service:
 
 decode:
   --threads N     decode worker threads (default 4)
-  --budget N      record-budget ledger shared by decode buffers and,
-                  with bounded retention, unconsumed published batches
-                  (default 4096)
+  --budget N      record-budget ledger for decode buffers (default 4096)
 
 fan-out:
   --batch-records N
-                  records per published batch (default 64; must be
-                  <= --budget when retention is bounded)
+                  records per published batch (default 64)
   --retain-messages N
                   per-collector log retention, in batches; 0 keeps the
                   full history in memory (default 0)
@@ -61,12 +58,11 @@ fan-out:
                   seconds between pool stats snapshots on the "stats"
                   topic (default 5; 0 disables)
 
-With bounded retention (--retain-messages / --retain-bytes) published
-batches lease record slots from the shared --budget ledger until they
-fall out of retention, so a subscriber that pins its replay cursor
-backpressures publication instead of growing memory. With unbounded
-retention the full decoded history is kept (and the ledger only governs
-decode), so bound the window with -w.
+With bounded retention (--retain-messages / --retain-bytes) each
+collector log holds at most its retention, plus one batch while a
+subscriber's replay cursor pins it: that subscriber backpressures
+publication instead of growing memory. With unbounded retention the full
+decoded history is kept, so bound the window with -w.
 )",
              stderr);
 }
@@ -162,11 +158,6 @@ int main(int argc, char** argv) {
   }
 
   if (archive.empty()) return fail("-d is required");
-  const bool bounded =
-      retention.max_messages != 0 || retention.max_bytes != 0;
-  if (bounded && batch_records > budget)
-    return fail("--batch-records must be <= --budget "
-                "(a batch leases one slot per record)");
   broker::Broker broker(archive, {});
   if (!broker.scan_status().ok()) return fail(broker.scan_status().ToString());
 
@@ -200,14 +191,7 @@ int main(int argc, char** argv) {
   pool::RecordPublisher::Options popt;
   popt.cluster = &cluster;
   popt.batch_records = batch_records;
-  if (bounded) {
-    // Published-but-unevicted batches count against the same record
-    // budget as decode buffers, so a pinned lagging subscriber
-    // backpressures publication. Only sound with bounded retention:
-    // an unbounded log never evicts, and would wedge the ledger.
-    popt.governor = (*pool)->governor();
-    popt.topic_retention = retention;
-  }
+  popt.topic_retention = retention;
 
   Status publish_status = OkStatus();
   pool::RecordPublisher::Stats publish_stats;
